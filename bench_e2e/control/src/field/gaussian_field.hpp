@@ -1,0 +1,54 @@
+#pragma once
+
+#include <vector>
+
+#include "field/scalar_field.hpp"
+#include "util/rng.hpp"
+
+namespace isomap {
+
+/// One anisotropic Gaussian bump: amplitude * exp(-q(p - center)) where q is
+/// the quadratic form of a rotated ellipse with axis scales (sx, sy).
+struct GaussianBump {
+  Vec2 center{};
+  double amplitude = 1.0;
+  double sx = 1.0;       ///< Std-dev along the rotated x axis.
+  double sy = 1.0;       ///< Std-dev along the rotated y axis.
+  double rotation = 0.0; ///< Radians, CCW.
+
+  double value(Vec2 p) const;
+  Vec2 gradient(Vec2 p) const;
+};
+
+/// Smooth analytic field: base level + linear trend + sum of Gaussian
+/// bumps. Its isolines are "well behaved" in the paper's Def. 4.1 sense
+/// (smooth closed/open curves of Hausdorff dimension 1), making it a
+/// faithful stand-in for the harbor bathymetry traces. The exact gradient
+/// is available, which the Fig. 7 experiment uses as ground truth.
+class GaussianField final : public ScalarField {
+ public:
+  GaussianField(FieldBounds bounds, double base, Vec2 trend,
+                std::vector<GaussianBump> bumps);
+
+  double value(Vec2 p) const override;
+  Vec2 gradient(Vec2 p) const override;
+  FieldBounds bounds() const override { return bounds_; }
+
+  const std::vector<GaussianBump>& bumps() const { return bumps_; }
+  double base() const { return base_; }
+  Vec2 trend() const { return trend_; }
+
+  /// Random smooth field over `bounds` with `num_bumps` bumps whose
+  /// amplitudes lie in [-amplitude, amplitude]; used by property tests and
+  /// the gradient-error sweep.
+  static GaussianField random(FieldBounds bounds, int num_bumps,
+                              double amplitude, Rng& rng);
+
+ private:
+  FieldBounds bounds_;
+  double base_;
+  Vec2 trend_;
+  std::vector<GaussianBump> bumps_;
+};
+
+}  // namespace isomap

@@ -1,0 +1,677 @@
+#include "isomap/continuous.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <stdexcept>
+
+#include "exec/exec.hpp"
+#include "isomap/filter.hpp"
+#include "isomap/fingerprint.hpp"
+#include "isomap/node_selection.hpp"
+#include "isomap/regression.hpp"
+#include "obs/obs.hpp"
+
+namespace isomap {
+namespace {
+
+/// Bit-pattern equality: the incremental engine's notion of "unchanged".
+/// Stricter than `==` (distinguishes +0.0 from -0.0), so a cached result
+/// is only ever reused when a recomputation would consume the exact same
+/// bits.
+inline std::uint64_t double_bits(double v) {
+  return std::bit_cast<std::uint64_t>(v);
+}
+inline bool bits_equal(double a, double b) {
+  return double_bits(a) == double_bits(b);
+}
+
+bool report_equal(const IsolineReport& a, const IsolineReport& b) {
+  return bits_equal(a.isolevel, b.isolevel) &&
+         bits_equal(a.position.x, b.position.x) &&
+         bits_equal(a.position.y, b.position.y) &&
+         bits_equal(a.gradient.x, b.gradient.x) &&
+         bits_equal(a.gradient.y, b.gradient.y) && a.source == b.source;
+}
+
+bool report_sets_equal(const std::vector<IsolineReport>& a,
+                       const std::vector<IsolineReport>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!report_equal(a[i], b[i])) return false;
+  return true;
+}
+
+/// Mirror of node_selection.cpp's per-entry selection trace, replayed for
+/// cached selections so a trace is engine-independent event for event.
+void trace_selection(obs::TraceSink* sink, int node, double isolevel) {
+  if (sink == nullptr) return;
+  obs::TraceEvent event;
+  event.kind = "note";
+  event.phase = obs::kPhaseSelect;
+  event.node = node;
+  event.isolevel = isolevel;
+  sink->emit(event);
+}
+
+}  // namespace
+
+ContinuousMapper::ContinuousMapper(ContinuousOptions options,
+                                   const Deployment& deployment,
+                                   const CommGraph& graph,
+                                   const RoutingTree& tree)
+    : options_(std::move(options)),
+      deployment_(&deployment),
+      graph_(&graph),
+      tree_(&tree),
+      isolevels_(options_.base.query.isolevels()),
+      num_levels_(static_cast<int>(isolevels_.size())) {
+  ensure_tables();
+}
+
+void ContinuousMapper::set_topology(const Deployment& deployment,
+                                    const CommGraph& graph,
+                                    const RoutingTree& tree) {
+  deployment_ = &deployment;
+  graph_ = &graph;
+  tree_ = &tree;
+  ensure_tables();
+  // Neighbour sets, liveness and (possibly) bounds changed: drop every
+  // cache. The next round re-evaluates everything — exactly the oracle's
+  // work — while repriming.
+  caches_primed_ = false;
+  for (auto& sc : selection_cache_) sc = SelectionCache{};
+  for (auto& fc : fit_cache_) fc = FitCache{};
+  for (auto& lc : level_cache_) lc = LevelCache{};
+  selected_nodes_.clear();
+  std::fill(sel_ops_.begin(), sel_ops_.end(), 0.0);
+  candidates_total_ = 0;
+}
+
+void ContinuousMapper::ensure_tables() {
+  const auto n = static_cast<std::size_t>(deployment_->size());
+  const std::size_t slots = n * static_cast<std::size_t>(num_levels_);
+  if (node_memory_.size() != slots) {
+    node_memory_.assign(slots, MemorySlot{});
+    now_memory_.assign(slots, MemorySlot{});
+    sink_table_.assign(slots, SinkSlot{});
+    memory_keys_.clear();
+    now_keys_.clear();
+    sink_keys_.clear();
+    sink_count_ = 0;
+  }
+  if (selection_cache_.size() != n) {
+    selection_cache_.assign(n, SelectionCache{});
+    fit_cache_.assign(n, FitCache{});
+    prev_readings_.assign(n, 0.0);
+    selection_dirty_.assign(n, 1);
+    grad_round_.assign(n, -1);
+    grad_value_.assign(n, Vec2{});
+    selected_nodes_.clear();
+    sel_ops_.assign(n, 0.0);
+    candidates_total_ = 0;
+    rank_cache_.assign(n, {0, 0});
+    caches_primed_ = false;
+  }
+  if (level_cache_.size() != static_cast<std::size_t>(num_levels_))
+    level_cache_.assign(static_cast<std::size_t>(num_levels_), LevelCache{});
+}
+
+int ContinuousMapper::level_index_of(double lambda) const {
+  const auto it =
+      std::lower_bound(isolevels_.begin(), isolevels_.end(), lambda - 1e-9);
+  if (it != isolevels_.end() && std::abs(*it - lambda) < 1e-9)
+    return static_cast<int>(it - isolevels_.begin());
+  return -1;
+}
+
+double ContinuousMapper::route_bytes(int from, double bytes,
+                                     Ledger& ledger) const {
+  const auto path = tree_->path_to_sink(from);
+  double total = 0.0;
+  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+    ledger.transmit(path[h], path[h + 1], bytes);
+    total += bytes;
+  }
+  return total;
+}
+
+int ContinuousMapper::mark_dirty(const std::vector<double>& readings) {
+  const int n = deployment_->size();
+  dirty_list_.clear();
+  if (!caches_primed_) {
+    std::fill(selection_dirty_.begin(), selection_dirty_.end(), char{1});
+    for (auto& fc : fit_cache_) fc.valid = false;
+    for (int v = 0; v < n; ++v) {
+      rank_cache_[static_cast<std::size_t>(v)] =
+          level_rank(isolevels_, readings[static_cast<std::size_t>(v)]);
+      if (graph_->alive(v)) dirty_list_.push_back(v);
+    }
+    return static_cast<int>(dirty_list_.size());
+  }
+  const double eps = options_.base.query.epsilon();
+  std::fill(selection_dirty_.begin(), selection_dirty_.end(), char{0});
+  for (int v = 0; v < n; ++v) {
+    const auto u = static_cast<std::size_t>(v);
+    const double old_v = prev_readings_[u];
+    const double new_v = readings[u];
+    if (bits_equal(old_v, new_v)) continue;
+    // Any bitwise change invalidates the regression fits the reading
+    // feeds: its own and every 1-hop neighbour's.
+    fit_cache_[u].valid = false;
+    for (int nb : graph_->neighbour_span(v))
+      fit_cache_[static_cast<std::size_t>(nb)].valid = false;
+    // Selection is coarser. Definition 3.1 consumes a reading only
+    // through (a) its <,== relations to each level — the crossing
+    // predicate, for the node itself and for each neighbour — and
+    // (b) the node's own ε-band membership per level. A change that
+    // alters neither relation set cannot change any admitted entry,
+    // candidate count or modelled op charge.
+    const auto new_rank = level_rank(isolevels_, new_v);
+    const bool rank_changed = rank_cache_[u] != new_rank;
+    rank_cache_[u] = new_rank;
+    bool own_matters = rank_changed;
+    if (!own_matters) {
+      // Candidacy can only flip near the band edges: compare it over the
+      // union of both readings' conservative windows (one extra level on
+      // each side, matching evaluate_node_selection's widening).
+      const double lo_v = std::min(old_v, new_v);
+      const double hi_v = std::max(old_v, new_v);
+      auto lo = std::lower_bound(isolevels_.begin(), isolevels_.end(),
+                                 lo_v - eps);
+      auto hi = std::upper_bound(isolevels_.begin(), isolevels_.end(),
+                                 hi_v + eps);
+      if (lo != isolevels_.begin()) --lo;
+      if (hi != isolevels_.end()) ++hi;
+      for (auto it = lo; it != hi && !own_matters; ++it)
+        own_matters = is_candidate(old_v, *it, eps) !=
+                      is_candidate(new_v, *it, eps);
+    }
+    if (own_matters) selection_dirty_[u] = 1;
+    if (rank_changed)
+      for (int nb : graph_->neighbour_span(v))
+        selection_dirty_[static_cast<std::size_t>(nb)] = 1;
+  }
+  for (int v = 0; v < n; ++v)
+    if (selection_dirty_[static_cast<std::size_t>(v)] && graph_->alive(v))
+      dirty_list_.push_back(v);
+  return static_cast<int>(dirty_list_.size());
+}
+
+void ContinuousMapper::replay_fit_metrics(std::size_t num_samples) {
+  obs::MetricsRegistry* const m = obs::metrics();
+  if (m == nullptr) return;
+  if (obs_slots_.fits == nullptr) {
+    obs_slots_.fits = &m->counter_slot("regression.fits");
+    obs_slots_.samples = &m->histogram_slot("regression.samples");
+  }
+  *obs_slots_.fits += 1.0;
+  obs_slots_.samples->record(static_cast<double>(num_samples));
+}
+
+void ContinuousMapper::replay_degenerate_metric() {
+  obs::MetricsRegistry* const m = obs::metrics();
+  if (m == nullptr) return;
+  if (obs_slots_.degenerate == nullptr)
+    obs_slots_.degenerate = &m->counter_slot("regression.degenerate");
+  *obs_slots_.degenerate += 1.0;
+}
+
+std::optional<Vec2> ContinuousMapper::gradient_for(
+    int node, const std::vector<double>& readings, Ledger& ledger) {
+  const auto u = static_cast<std::size_t>(node);
+  if (grad_round_[u] == round_counter_) return grad_value_[u];
+
+  if (options_.engine == ContinuousEngine::kOracle) {
+    std::vector<FieldSample> samples;
+    samples.push_back({deployment_->node(node).reported_pos(), readings[u]});
+    for (int nb : graph_->neighbours(node))
+      samples.push_back({deployment_->node(nb).reported_pos(),
+                         readings[static_cast<std::size_t>(nb)]});
+    double ops = 0.0;
+    const auto fit = fit_plane(samples, &ops);
+    ledger.compute(node, ops);
+    if (!fit) return std::nullopt;
+    grad_round_[u] = round_counter_;
+    grad_value_[u] = fit->descent_direction();
+    return grad_value_[u];
+  }
+
+  FitCache& fc = fit_cache_[u];
+  if (!fc.primed) {
+    // Sample positions (own first, then neighbours ascending — the
+    // oracle's order) and the position block of the sufficient
+    // statistics are fixed for this topology; build them once.
+    fc.samples.clear();
+    fc.samples.push_back(
+        {deployment_->node(node).reported_pos(), readings[u]});
+    for (int nb : graph_->neighbour_span(node))
+      fc.samples.push_back({deployment_->node(nb).reported_pos(),
+                            readings[static_cast<std::size_t>(nb)]});
+    fc.pos_stats = plane_position_stats(fc.samples);
+    fc.primed = true;
+    fc.valid = false;
+  }
+  if (!fc.valid) {
+    // A sample reading changed: refresh the values in place and redo
+    // only the value block + solve. The cached position block is the
+    // bit-exact result of plane_position_stats over these positions, so
+    // the fit equals fit_plane over the refreshed samples bit for bit.
+    fc.samples[0].value = readings[u];
+    std::size_t i = 1;
+    for (int nb : graph_->neighbour_span(node))
+      fc.samples[i++].value = readings[static_cast<std::size_t>(nb)];
+    replay_fit_metrics(fc.samples.size());
+    fc.ops = 0.0;
+    fc.has_fit = false;
+    if (fc.samples.size() < 3) {
+      replay_degenerate_metric();
+    } else {
+      const PlaneValueStats val = plane_value_stats(fc.samples, fc.pos_stats);
+      if (const auto fit = solve_plane(fc.pos_stats, val)) {
+        fc.has_fit = true;
+        fc.gradient = fit->descent_direction();
+        fc.ops = fit_plane_ops(fc.samples.size());
+      } else {
+        replay_degenerate_metric();
+      }
+    }
+    fc.valid = true;
+    ledger.compute(node, fc.ops);
+  } else {
+    // Untouched neighbourhood: replay the oracle's instrumentation and
+    // ledger charge for the cached fit. (A degenerate node is replayed
+    // per selected entry, matching the oracle's per-entry refit.)
+    replay_fit_metrics(fc.samples.size());
+    if (!fc.has_fit) replay_degenerate_metric();
+    ledger.compute(node, fc.ops);
+  }
+  if (!fc.has_fit) return std::nullopt;
+  grad_round_[u] = round_counter_;
+  grad_value_[u] = fc.gradient;
+  return grad_value_[u];
+}
+
+ContourMap ContinuousMapper::build_map_incremental(
+    const std::vector<IsolineReport>& reports) {
+  obs::PhaseTimer timer(obs::kPhaseMapGen);
+  obs::count("map_gen.reports", static_cast<double>(reports.size()));
+  obs::count("map_gen.levels", static_cast<double>(num_levels_));
+  const FieldBounds bounds = deployment_->bounds();
+  const auto k = static_cast<std::size_t>(num_levels_);
+
+  // Group by level exactly as ContourMapBuilder::build does — but via
+  // binary search per report instead of a level x report sweep. Levels
+  // are at least one granularity step apart (>> the 1e-9 tolerance), so
+  // each report matches at most one level, and per-level report order is
+  // the incoming order either way. The grouping vectors are member
+  // scratch so their capacity survives across rounds.
+  if (level_scratch_.size() != k) level_scratch_.assign(k, {});
+  std::vector<std::vector<IsolineReport>>& level_reports = level_scratch_;
+  for (auto& group : level_reports) group.clear();
+  for (const auto& r : reports) {
+    const int li = level_index_of(r.isolevel);
+    if (li >= 0) level_reports[static_cast<std::size_t>(li)].push_back(r);
+  }
+
+  // Fingerprint each level's post-filter report set; a level whose set
+  // is unchanged (fingerprint pre-filter, exact comparison as the
+  // authority) reuses its cached region — LevelRegion construction is a
+  // pure function of (isolevel, reports, bounds, mode).
+  std::vector<std::size_t> dirty;
+  std::vector<std::uint64_t> fingerprints(k);
+  for (std::size_t li = 0; li < k; ++li) {
+    fingerprints[li] = fingerprint_reports(level_reports[li]);
+    LevelCache& lc = level_cache_[li];
+    if (lc.valid && lc.fingerprint == fingerprints[li] &&
+        report_sets_equal(lc.reports, level_reports[li]))
+      continue;
+    dirty.push_back(li);
+  }
+  last_fingerprints_ = fingerprints;
+  obs::count("continuous.levels_rebuilt", static_cast<double>(dirty.size()));
+
+  // Rebuild dirty levels across the pool: each slot is written by
+  // exactly one task, so the result matches the serial loop bit for bit
+  // (the exec determinism contract ContourMapBuilder relies on too).
+  // Pool dispatch costs more than a couple of small region builds, so a
+  // near-clean round stays on this thread. Either path constructs each
+  // level independently, so the result is identical.
+  std::vector<std::shared_ptr<const LevelRegion>> built(dirty.size());
+  const auto build_one = [&](std::size_t i) {
+    const std::size_t li = dirty[i];
+    built[i] = std::make_shared<const LevelRegion>(
+        isolevels_[li], level_reports[li], bounds, options_.base.regulation);
+  };
+  if (dirty.size() <= 4) {
+    for (std::size_t i = 0; i < dirty.size(); ++i) build_one(i);
+  } else {
+    exec::parallel_for(dirty.size(), build_one);
+  }
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    const std::size_t li = dirty[i];
+    LevelCache& lc = level_cache_[li];
+    lc.valid = true;
+    lc.fingerprint = fingerprints[li];
+    lc.reports = std::move(level_reports[li]);
+    lc.region = std::move(built[i]);
+  }
+
+  // Assemble by reference: clean levels share the cached region with the
+  // returned map (no deep copies of Voronoi cells or boundaries).
+  std::vector<std::shared_ptr<const LevelRegion>> regions;
+  regions.reserve(k);
+  for (std::size_t li = 0; li < k; ++li)
+    regions.push_back(level_cache_[li].region);
+  return ContourMap(bounds, std::move(regions));
+}
+
+RoundResult ContinuousMapper::round(const ScalarField& field_now,
+                                    Ledger& ledger) {
+  std::vector<double> readings(static_cast<std::size_t>(deployment_->size()),
+                               0.0);
+  for (const auto& node : deployment_->nodes())
+    if (node.alive)
+      readings[static_cast<std::size_t>(node.id)] = field_now.value(node.pos);
+  return round(readings, ledger);
+}
+
+RoundResult ContinuousMapper::round(const std::vector<double>& readings,
+                                    Ledger& ledger) {
+  const int n = deployment_->size();
+  if (static_cast<int>(readings.size()) != n)
+    throw std::invalid_argument(
+        "ContinuousMapper::round: readings size must equal the deployment");
+  const ContourQuery& query = options_.base.query;
+  ensure_tables();
+  ++round_counter_;
+  obs_slots_ = RegressionObsSlots{};  // The registry can change per round.
+  const bool incremental = options_.engine == ContinuousEngine::kIncremental;
+
+  // --- Beacon (readings were sensed by the caller). ---
+  double beacon_bytes = 0.0;
+  {
+    const obs::PhaseTimer timer(obs::kPhaseDisseminate);
+    beacon_bytes = ledger.broadcast_all(*graph_, options_.beacon_bytes);
+  }
+
+  // --- Selection (Def. 3.1) on the fresh readings. ---
+  obs::PhaseTimer select_timer(obs::kPhaseSelect);
+  std::vector<SelectionEntry> selected;
+  // Incremental emission already knows each entry's level index; carrying
+  // it parallel to `selected` spares the route loop one binary search per
+  // entry. The oracle resolves the index in the route loop as before —
+  // both paths land on the identical index for the identical isolevel.
+  std::vector<int> selected_levels;
+  if (incremental) {
+    const int dirty_nodes = mark_dirty(readings);
+    obs::count("continuous.dirty_nodes", static_cast<double>(dirty_nodes));
+    const double eps = query.epsilon();
+    // Re-evaluate Definition 3.1 only at the dirty nodes — across the
+    // exec pool over tile blocks of the (ascending) dirty list, since
+    // evaluate_node_selection is pure. Each block records its nodes'
+    // results plus the concatenated admitted level indices; the serial
+    // merge below then updates the persistent selected-node list, the
+    // per-node op charges and the candidate total in dirty-list order,
+    // exactly as the serial loop did — clean nodes cost nothing here.
+    struct DirtyEval {
+      double ops = 0.0;
+      int candidates = 0;
+      std::uint32_t admitted_count = 0;
+    };
+    struct DirtyBlock {
+      std::vector<DirtyEval> evals;  ///< One per dirty node of the block.
+      std::vector<int> admitted;     ///< Concatenated admitted indices.
+    };
+    const TileBlocks dirty_blocks{dirty_list_.size(), 1024};
+    std::vector<DirtyBlock> per_block(dirty_blocks.count());
+    exec::parallel_for_blocks(
+        dirty_blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
+          DirtyBlock& out = per_block[b];
+          out.evals.reserve(end - begin);
+          thread_local std::vector<int> admitted;
+          for (std::size_t i = begin; i < end; ++i) {
+            const int v = dirty_list_[i];
+            DirtyEval ev;
+            if (graph_->alive(v)) {
+              const NodeSelectionResult fresh = evaluate_node_selection(
+                  *graph_, readings, v, isolevels_, eps, admitted);
+              ev.ops = fresh.ops;
+              ev.candidates = fresh.candidates;
+              ev.admitted_count = static_cast<std::uint32_t>(admitted.size());
+              out.admitted.insert(out.admitted.end(), admitted.begin(),
+                                  admitted.end());
+            }
+            out.evals.push_back(ev);
+          }
+        });
+    for (std::size_t b = 0; b < per_block.size(); ++b) {
+      const DirtyBlock& blk = per_block[b];
+      std::size_t off = 0;
+      for (std::size_t j = 0; j < blk.evals.size(); ++j) {
+        const int v = dirty_list_[dirty_blocks.begin(b) + j];
+        const DirtyEval& ev = blk.evals[j];
+        if (!graph_->alive(v)) continue;
+        const auto u = static_cast<std::size_t>(v);
+        SelectionCache& sc = selection_cache_[u];
+        const bool was_selected = !sc.levels.empty();
+        candidates_total_ -= sc.candidates;
+        sc.levels.assign(blk.admitted.begin() + static_cast<std::ptrdiff_t>(off),
+                         blk.admitted.begin() +
+                             static_cast<std::ptrdiff_t>(off + ev.admitted_count));
+        off += ev.admitted_count;
+        sc.ops = ev.ops;
+        sc.candidates = ev.candidates;
+        sel_ops_[u] = ev.ops;
+        candidates_total_ += sc.candidates;
+        const bool now_selected = !sc.levels.empty();
+        if (now_selected != was_selected) {
+          const auto it = std::lower_bound(selected_nodes_.begin(),
+                                           selected_nodes_.end(), v);
+          if (now_selected)
+            selected_nodes_.insert(it, v);
+          else
+            selected_nodes_.erase(it);
+        }
+      }
+    }
+    // Emit this round's selection — ascending (node, level), exactly the
+    // order the full per-node sweep would produce.
+    obs::TraceSink* const sink = obs::trace();
+    for (const int v : selected_nodes_) {
+      if (!graph_->alive(v)) continue;
+      for (int idx : selection_cache_[static_cast<std::size_t>(v)].levels) {
+        const double lambda = isolevels_[static_cast<std::size_t>(idx)];
+        selected.push_back({v, lambda});
+        selected_levels.push_back(idx);
+        trace_selection(sink, v, lambda);
+      }
+    }
+    if (candidates_total_ > 0)
+      obs::count("select.candidates", static_cast<double>(candidates_total_));
+    ledger.compute_all(*graph_, sel_ops_);
+  } else {
+    int alive = 0;
+    for (int v = 0; v < n; ++v)
+      if (graph_->alive(v)) ++alive;
+    obs::count("continuous.dirty_nodes", static_cast<double>(alive));
+    std::vector<double> selection_ops;
+    selected = select_isoline_nodes(*graph_, readings, query, &selection_ops);
+    ledger.compute_all(*graph_, selection_ops);
+  }
+
+  select_timer.stop();
+
+  RoundResult result{.map = ContourMap(deployment_->bounds(),
+                                       std::vector<LevelRegion>{})};
+  obs::PhaseTimer route_timer(obs::kPhaseReportRoute);
+  const double refresh_rad = options_.gradient_refresh_deg * M_PI / 180.0;
+  // now_memory_ still holds the round-before-last entries (the tables are
+  // swapped, never scanned clean): clear exactly the occupied slots.
+  for (const std::size_t key : now_keys_) now_memory_[key] = MemorySlot{};
+  now_keys_.clear();
+
+  // --- Regression + delta generation for currently selected pairs. ---
+  // One regression per distinct node per round (shared across levels).
+  for (std::size_t si = 0; si < selected.size(); ++si) {
+    const auto& entry = selected[si];
+    if (!tree_->reachable(entry.node)) continue;
+    const int level = incremental ? selected_levels[si]
+                                  : level_index_of(entry.isolevel);
+    if (level < 0) continue;
+    const auto gradient_opt = gradient_for(entry.node, readings, ledger);
+    if (!gradient_opt) continue;
+    const Vec2 gradient = *gradient_opt;
+    const std::size_t key = slot(entry.node, level);
+    now_memory_[key] = {true, gradient};
+    now_keys_.push_back(key);  // `selected` ascends (node, level) => sorted.
+
+    const MemorySlot prev = node_memory_[key];
+    const bool is_new = !prev.present;
+    // A bitwise-unchanged nonzero gradient cannot have rotated past any
+    // non-negative threshold (angle_between of a vector with itself is
+    // clamped to ~1e-8 rad), so skip the acos. Zero vectors fall through:
+    // angle_between defines their angle as pi.
+    const bool unchanged_dir = !is_new &&
+                               bits_equal(prev.gradient.x, gradient.x) &&
+                               bits_equal(prev.gradient.y, gradient.y) &&
+                               (gradient.x != 0.0 || gradient.y != 0.0);
+    const bool rotated =
+        !is_new && !unchanged_dir &&
+        angle_between(prev.gradient, gradient) > refresh_rad;
+    // Soft-state keep-alive: refresh unchanged entries before the sink's
+    // expiry horizon would drop them.
+    bool keepalive = false;
+    if (!is_new && !rotated && options_.stale_rounds > 0) {
+      const SinkSlot& sink_slot = sink_table_[key];
+      keepalive = !sink_slot.present ||
+                  round_counter_ - sink_slot.last_update >=
+                      std::max(1, options_.stale_rounds / 2);
+    }
+    if (is_new || rotated || keepalive) {
+      result.delta_traffic_bytes +=
+          route_bytes(entry.node, IsolineReport::kWireBytes, ledger);
+      if (!sink_table_[key].present) {
+        ++sink_count_;
+        sink_keys_.insert(
+            std::lower_bound(sink_keys_.begin(), sink_keys_.end(), key), key);
+      }
+      sink_table_[key] = {true,
+                          {entry.isolevel,
+                           deployment_->node(entry.node).reported_pos(),
+                           gradient, entry.node},
+                          round_counter_};
+      if (is_new) ++result.adds;
+      else if (rotated) ++result.refreshes;
+      else ++result.keepalives;
+    } else {
+      ++result.suppressed;
+    }
+  }
+
+  // --- Withdrawals for pairs that dropped out of the selection. Only an
+  // alive, connected node can actually send one; a dead node's sink entry
+  // lingers until soft-state expiry removes it. ---
+  for (const std::size_t key : memory_keys_) {
+    if (!node_memory_[key].present || now_memory_[key].present) continue;
+    const int node =
+        static_cast<int>(key / static_cast<std::size_t>(num_levels_));
+    if (tree_->reachable(node) && graph_->alive(node)) {
+      result.delta_traffic_bytes +=
+          route_bytes(node, options_.withdraw_bytes, ledger);
+      if (sink_table_[key].present) {
+        sink_table_[key] = SinkSlot{};
+        sink_keys_.erase(
+            std::lower_bound(sink_keys_.begin(), sink_keys_.end(), key));
+        --sink_count_;
+      }
+      ++result.withdrawals;
+    }
+  }
+  std::swap(node_memory_, now_memory_);
+  std::swap(memory_keys_, now_keys_);
+
+  // Soft-state expiry: drop sink entries that out-lived the horizon (the
+  // reporter died or was partitioned and could not withdraw).
+  if (options_.stale_rounds > 0) {
+    std::size_t kept = 0;
+    for (const std::size_t key : sink_keys_) {
+      SinkSlot& sink_slot = sink_table_[key];
+      if (round_counter_ - sink_slot.last_update >= options_.stale_rounds) {
+        node_memory_[key] = MemorySlot{};
+        sink_slot = SinkSlot{};
+        --sink_count_;
+        ++result.expired;
+      } else {
+        sink_keys_[kept++] = key;
+      }
+    }
+    sink_keys_.resize(kept);
+  }
+
+  route_timer.stop();
+
+  // --- Sink rebuild: spatial filter, then map construction. ---
+  std::vector<IsolineReport> reports;
+  reports.reserve(static_cast<std::size_t>(sink_count_));
+  for (const std::size_t key : sink_keys_)
+    reports.push_back(sink_table_[key].report);
+  if (query.enable_filtering) {
+    const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
+    const InNetworkFilter filter = InNetworkFilter::from_query(query);
+    reports = filter.filter(std::move(reports));
+  }
+  result.active_reports = sink_count_;
+  result.beacon_traffic_bytes = beacon_bytes;
+  if (incremental) {
+    result.map = build_map_incremental(reports);
+    prev_readings_ = std::move(readings);
+    caches_primed_ = true;
+  } else {
+    obs::count("continuous.levels_rebuilt", static_cast<double>(num_levels_));
+    // Group-and-fingerprint exactly as build_map_incremental does, so
+    // level_fingerprints() is engine-independent. Pure bookkeeping: no
+    // obs emission, no effect on the map or the ledger.
+    std::vector<std::vector<IsolineReport>> groups(
+        static_cast<std::size_t>(num_levels_));
+    for (const auto& r : reports) {
+      const int li = level_index_of(r.isolevel);
+      if (li >= 0) groups[static_cast<std::size_t>(li)].push_back(r);
+    }
+    last_fingerprints_.resize(groups.size());
+    for (std::size_t li = 0; li < groups.size(); ++li)
+      last_fingerprints_[li] = fingerprint_reports(groups[li]);
+    result.map = ContourMapBuilder(deployment_->bounds(),
+                                   options_.base.regulation)
+                     .build(reports, isolevels_);
+  }
+  return result;
+}
+
+std::vector<IsolineReport> ContinuousMapper::post_filter_reports() const {
+  std::vector<IsolineReport> reports;
+  reports.reserve(static_cast<std::size_t>(sink_count_));
+  for (const std::size_t key : sink_keys_)
+    reports.push_back(sink_table_[key].report);
+  const ContourQuery& query = options_.base.query;
+  if (query.enable_filtering)
+    reports = InNetworkFilter::from_query(query).filter(std::move(reports));
+  return reports;
+}
+
+std::vector<ContinuousMapper::SinkDumpEntry> ContinuousMapper::sink_dump()
+    const {
+  std::vector<SinkDumpEntry> out;
+  out.reserve(static_cast<std::size_t>(sink_count_));
+  for (const std::size_t key : sink_keys_) {
+    const SinkSlot& sink_slot = sink_table_[key];
+    if (!sink_slot.present) continue;
+    out.push_back(
+        {static_cast<int>(key / static_cast<std::size_t>(num_levels_)),
+         static_cast<int>(key % static_cast<std::size_t>(num_levels_)),
+         sink_slot.report, sink_slot.last_update});
+  }
+  return out;
+}
+
+}  // namespace isomap

@@ -1,0 +1,97 @@
+#pragma once
+
+#include <utility>
+#include <vector>
+
+#include "isomap/query.hpp"
+#include "net/comm_graph.hpp"
+#include "net/deployment.hpp"
+
+namespace isomap {
+
+/// Outcome of the distributed isoline-node self-selection (Definition 3.1)
+/// for one node and one isolevel.
+struct SelectionEntry {
+  int node = -1;
+  double isolevel = 0.0;
+};
+
+/// Runs the two-step self-selection of Definition 3.1 over all alive nodes
+/// given their sensed `readings` (indexed by node id):
+///
+///  1. A node is a *candidate* for isolevel lambda when its reading lies in
+///     the border region [lambda - eps, lambda + eps].
+///  2. A candidate becomes an *isoline node* when some alive neighbour q
+///     has lambda strictly between the two readings.
+///
+/// Both steps use only the node's own reading and its 1-hop neighbours'
+/// readings, so the per-node cost is O(levels + deg) — the constant
+/// overhead the paper claims. `ops` (per node, if non-null) is charged
+/// accordingly.
+std::vector<SelectionEntry> select_isoline_nodes(
+    const CommGraph& graph, const std::vector<double>& readings,
+    const ContourQuery& query, std::vector<double>* ops_per_node = nullptr);
+
+/// Adaptive-epsilon variant (extension; see DESIGN.md): instead of the
+/// fixed border half-width epsilon = 0.05 T, each node sizes its border
+/// region from the *local slope* so the spatial width of the selected
+/// strip is ~`strip_width` everywhere:
+///
+///   epsilon_i = 0.5 * strip_width * max_j |v_i - v_j| / dist(i, j)
+///
+/// (maximum over 1-hop neighbours; falls back to the query epsilon when
+/// the neighbourhood is flat). A steep area no longer under-selects and a
+/// flat area no longer floods the border region — the trade the paper's
+/// Section 5 epsilon discussion gestures at, automated. The crossing
+/// condition (Def. 3.1 part 2) is unchanged. Adds O(deg) ops per node.
+std::vector<SelectionEntry> select_isoline_nodes_adaptive(
+    const CommGraph& graph, const Deployment& deployment,
+    const std::vector<double>& readings, const ContourQuery& query,
+    double strip_width, std::vector<double>* ops_per_node = nullptr);
+
+/// Modelled cost and candidate count of one node's Definition 3.1
+/// evaluation (the admitted level indices go to a caller-owned vector).
+struct NodeSelectionResult {
+  double ops = 0.0;    ///< Modelled arithmetic charge for the node.
+  int candidates = 0;  ///< Levels whose ε-band contains the reading.
+};
+
+/// Evaluate Definition 3.1 for one node against every level: `admitted`
+/// receives the indices (into `levels`, ascending) the node self-selects
+/// for. Shared by select_isoline_nodes and the continuous mapper's
+/// incremental engine, so both produce identical entries, ops and
+/// candidate counts by construction.
+///
+/// `levels` must be ascending (ContourQuery::isolevels() is). The level
+/// loop runs over a banded candidate window located by binary search and
+/// widened by one level per side; |reading - λ| <= ε stays the deciding
+/// comparison for every level in the window, and the widening means a
+/// borderline band-edge comparison can never be missed — the comparison
+/// and the window arithmetic only disagree within rounding error of the
+/// band edge, while any level outside the widened window sits a full
+/// granularity beyond it. The admitted set, candidate count and modelled
+/// ops are therefore exactly those of the full level scan.
+NodeSelectionResult evaluate_node_selection(const CommGraph& graph,
+                                            const std::vector<double>& readings,
+                                            int node,
+                                            const std::vector<double>& levels,
+                                            double epsilon,
+                                            std::vector<int>& admitted);
+
+/// Relation signature of a reading against the ascending level list:
+/// (#levels < v, #levels <= v). Two readings with equal signatures
+/// compare identically (<, ==, >) against every level — exactly the
+/// predicates Definition 3.1's crossing test uses — so swapping one for
+/// the other cannot change any neighbour's selection outcome. The
+/// incremental continuous engine uses this to decide whether a changed
+/// reading can affect Definition 3.1 at all.
+std::pair<int, int> level_rank(const std::vector<double>& levels, double v);
+
+/// Candidate test for a single node/level (step 1 only); exposed for tests.
+bool is_candidate(double reading, double isolevel, double epsilon);
+
+/// Full isoline-node test for one node/level given neighbour readings.
+bool is_isoline_node(double reading, const std::vector<double>& neighbour_readings,
+                     double isolevel, double epsilon);
+
+}  // namespace isomap

@@ -1,0 +1,244 @@
+#include "isomap/regression.hpp"
+
+#include <cmath>
+
+#include "obs/obs.hpp"
+
+namespace isomap {
+
+bool solve3x3(double a[3][3], double b[3], double x[3]) {
+  int perm[3] = {0, 1, 2};
+  // Forward elimination with partial pivoting.
+  for (int col = 0; col < 3; ++col) {
+    int pivot = col;
+    for (int r = col + 1; r < 3; ++r)
+      if (std::abs(a[perm[r]][col]) > std::abs(a[perm[pivot]][col])) pivot = r;
+    std::swap(perm[col], perm[pivot]);
+    const double diag = a[perm[col]][col];
+    if (std::abs(diag) < 1e-12) return false;
+    for (int r = col + 1; r < 3; ++r) {
+      const double factor = a[perm[r]][col] / diag;
+      a[perm[r]][col] = 0.0;
+      for (int c = col + 1; c < 3; ++c) a[perm[r]][c] -= factor * a[perm[col]][c];
+      b[perm[r]] -= factor * b[perm[col]];
+    }
+  }
+  // Back substitution.
+  for (int row = 2; row >= 0; --row) {
+    double acc = b[perm[row]];
+    for (int c = row + 1; c < 3; ++c) acc -= a[perm[row]][c] * x[c];
+    x[row] = acc / a[perm[row]][row];
+  }
+  return true;
+}
+
+PlanePositionStats plane_position_stats(
+    const std::vector<FieldSample>& samples) {
+  // Centre the coordinates on the sample mean for numerical stability
+  // (the fitted gradient is translation-invariant; c0 is shifted back in
+  // solve_plane). Each sum accumulates its own addend sequence in sample
+  // order, so splitting position and value accumulation into separate
+  // loops leaves every individual sum — and hence the fit — bit-for-bit
+  // what the original single-loop accumulation produced.
+  PlanePositionStats stats;
+  stats.n = samples.size();
+  for (const auto& s : samples) stats.mean += s.pos;
+  if (stats.n > 0) stats.mean *= 1.0 / static_cast<double>(stats.n);
+  for (const auto& s : samples) {
+    const double x = s.pos.x - stats.mean.x;
+    const double y = s.pos.y - stats.mean.y;
+    stats.sx += x;
+    stats.sy += y;
+    stats.sxx += x * x;
+    stats.sxy += x * y;
+    stats.syy += y * y;
+  }
+  return stats;
+}
+
+PlanePositionStats plane_position_stats(std::span<const double> xs,
+                                        std::span<const double> ys) {
+  PlanePositionStats stats;
+  stats.n = xs.size();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    stats.mean.x += xs[i];
+    stats.mean.y += ys[i];
+  }
+  if (stats.n > 0) stats.mean *= 1.0 / static_cast<double>(stats.n);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x = xs[i] - stats.mean.x;
+    const double y = ys[i] - stats.mean.y;
+    stats.sx += x;
+    stats.sy += y;
+    stats.sxx += x * x;
+    stats.sxy += x * y;
+    stats.syy += y * y;
+  }
+  return stats;
+}
+
+PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
+                                  const PlanePositionStats& pos) {
+  PlaneValueStats stats;
+  for (const auto& s : samples) stats.mean_v += s.value;
+  if (pos.n > 0) stats.mean_v *= 1.0 / static_cast<double>(pos.n);
+  for (const auto& s : samples) {
+    const double x = s.pos.x - pos.mean.x;
+    const double y = s.pos.y - pos.mean.y;
+    const double v = s.value - stats.mean_v;
+    stats.sv += v;
+    stats.sxv += x * v;
+    stats.syv += y * v;
+  }
+  return stats;
+}
+
+PlaneValueStats plane_value_stats(std::span<const double> xs,
+                                  std::span<const double> ys,
+                                  std::span<const double> vs,
+                                  const PlanePositionStats& pos) {
+  PlaneValueStats stats;
+  for (std::size_t i = 0; i < vs.size(); ++i) stats.mean_v += vs[i];
+  if (pos.n > 0) stats.mean_v *= 1.0 / static_cast<double>(pos.n);
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    const double x = xs[i] - pos.mean.x;
+    const double y = ys[i] - pos.mean.y;
+    const double v = vs[i] - stats.mean_v;
+    stats.sv += v;
+    stats.sxv += x * v;
+    stats.syv += y * v;
+  }
+  return stats;
+}
+
+PlaneStats plane_stats_batch(std::span<const double> xs,
+                             std::span<const double> ys,
+                             std::span<const double> vs) {
+  PlaneStats s;
+  const std::size_t n = xs.size();
+  s.pos.n = n;
+  const double* const x = xs.data();
+  const double* const y = ys.data();
+  const double* const v = vs.data();
+  double mx = 0.0, my = 0.0, mv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    mx += x[i];
+    my += y[i];
+    mv += v[i];
+  }
+  if (n > 0) {
+    const double inv = 1.0 / static_cast<double>(n);
+    mx *= inv;
+    my *= inv;
+    mv *= inv;
+  }
+  s.pos.mean = {mx, my};
+  s.val.mean_v = mv;
+  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, syy = 0.0;
+  double sv = 0.0, sxv = 0.0, syv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = x[i] - mx;
+    const double dy = y[i] - my;
+    const double dv = v[i] - mv;
+    sx += dx;
+    sy += dy;
+    sxx += dx * dx;
+    sxy += dx * dy;
+    syy += dy * dy;
+    sv += dv;
+    sxv += dx * dv;
+    syv += dy * dv;
+  }
+  s.pos.sx = sx;
+  s.pos.sy = sy;
+  s.pos.sxx = sxx;
+  s.pos.sxy = sxy;
+  s.pos.syy = syy;
+  s.val.sv = sv;
+  s.val.sxv = sxv;
+  s.val.syv = syv;
+  return s;
+}
+
+std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
+                                      std::span<const double> ys,
+                                      std::span<const double> vs) {
+  if (xs.size() < 3) return std::nullopt;
+  const PlaneStats stats = plane_stats_batch(xs, ys, vs);
+  return solve_plane(stats.pos, stats.val);
+}
+
+void record_fit_metrics(std::size_t n_samples) {
+  if (obs::MetricsRegistry* m = obs::metrics()) {
+    m->add("regression.fits");
+    m->observe("regression.samples", static_cast<double>(n_samples));
+  }
+}
+
+void record_degenerate_fit() { obs::count("regression.degenerate"); }
+
+std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
+                                    const PlaneValueStats& val) {
+  if (pos.n < 3) return std::nullopt;
+  const auto n = static_cast<double>(pos.n);
+  double a[3][3] = {{n, pos.sx, pos.sy},
+                    {pos.sx, pos.sxx, pos.sxy},
+                    {pos.sy, pos.sxy, pos.syy}};
+  double b[3] = {val.sv, val.sxv, val.syv};
+  double w[3];
+  if (!solve3x3(a, b, w)) return std::nullopt;
+
+  PlaneFit fit;
+  fit.c1 = w[1];
+  fit.c2 = w[2];
+  // Un-centre the intercept: v = mean_v + w0 + c1 (x - mx) + c2 (y - my).
+  fit.c0 = val.mean_v + w[0] - fit.c1 * pos.mean.x - fit.c2 * pos.mean.y;
+  return fit;
+}
+
+std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
+                                  double* ops) {
+  // Scope-size and degeneracy metrics for the RunSummary (one registry
+  // probe per fit; inert without an active obs scope).
+  if (obs::MetricsRegistry* m = obs::metrics()) {
+    m->add("regression.fits");
+    m->observe("regression.samples", static_cast<double>(samples.size()));
+  }
+  if (samples.size() < 3) {
+    obs::count("regression.degenerate");
+    return std::nullopt;
+  }
+
+  const PlanePositionStats pos = plane_position_stats(samples);
+  const PlaneValueStats val = plane_value_stats(samples, pos);
+  const auto fit = solve_plane(pos, val);
+  if (!fit) {
+    obs::count("regression.degenerate");
+    return std::nullopt;
+  }
+  if (ops) *ops += fit_plane_ops(samples.size());
+  return fit;
+}
+
+std::optional<PlaneFit> fit_plane(std::span<const double> xs,
+                                  std::span<const double> ys,
+                                  std::span<const double> vs,
+                                  double* ops) {
+  record_fit_metrics(xs.size());
+  if (xs.size() < 3) {
+    record_degenerate_fit();
+    return std::nullopt;
+  }
+  // The fused batch kernel computes the identical sufficient statistics
+  // to the split plane_position_stats/plane_value_stats pair (see its
+  // header comment), so swapping it in changes no output bit.
+  const auto fit = fit_plane_soa(xs, ys, vs);
+  if (!fit) {
+    record_degenerate_fit();
+    return std::nullopt;
+  }
+  if (ops) *ops += fit_plane_ops(xs.size());
+  return fit;
+}
+
+}  // namespace isomap

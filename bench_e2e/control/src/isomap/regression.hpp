@@ -1,0 +1,154 @@
+#pragma once
+
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "geometry/vec2.hpp"
+
+namespace isomap {
+
+/// A (position, value) sample used in the local regression.
+struct FieldSample {
+  Vec2 pos{};
+  double value = 0.0;
+};
+
+/// Result of the local linear fit v = c0 + c1*x + c2*y.
+struct PlaneFit {
+  double c0 = 0.0;
+  double c1 = 0.0;
+  double c2 = 0.0;
+
+  double value_at(Vec2 p) const { return c0 + c1 * p.x + c2 * p.y; }
+  /// Gradient of the fitted plane.
+  Vec2 gradient() const { return {c1, c2}; }
+  /// The paper's reported direction d = -(c1, c2) (Eq. 3): steepest
+  /// descent, approximating the isoline normal pointing downhill.
+  Vec2 descent_direction() const { return {-c1, -c2}; }
+};
+
+/// Position block of the centred sufficient statistics behind fit_plane
+/// (the normal-equation sums of Eq. 2): sample count, mean position, and
+/// the centred position sums. A sensor's own and its neighbours'
+/// positions never change between continuous-mapping rounds, so this
+/// block is computed once per node and reused verbatim — recomputing it
+/// from the same positions in the same order yields the same bits, which
+/// is what makes the cached path bitwise-identical to a fresh fit.
+struct PlanePositionStats {
+  std::size_t n = 0;   ///< Sample count.
+  Vec2 mean{};         ///< Mean sample position.
+  double sx = 0.0, sy = 0.0;               ///< Centred first-order sums.
+  double sxx = 0.0, sxy = 0.0, syy = 0.0;  ///< Centred second-order sums.
+};
+
+/// Value block of the sufficient statistics: mean reading and the centred
+/// value sums. Depends on every sample's reading (the centring couples
+/// them through mean_v), so it is recomputed — in O(n) with ~half the
+/// arithmetic of a full fit — whenever any reading in the sample set
+/// changed.
+struct PlaneValueStats {
+  double mean_v = 0.0;
+  double sv = 0.0, sxv = 0.0, syv = 0.0;
+};
+
+/// Accumulate the position block over `samples` in order.
+PlanePositionStats plane_position_stats(const std::vector<FieldSample>& samples);
+
+/// SoA variant: positions given as parallel coordinate arrays. Each
+/// accumulator adds the same addends in the same order as the AoS loop
+/// (vectorization happens across the independent sum chains and via unit-
+/// stride loads, never by reassociating within a chain), so the stats —
+/// and any fit solved from them — are bit-identical to the AoS path.
+PlanePositionStats plane_position_stats(std::span<const double> xs,
+                                        std::span<const double> ys);
+
+/// Accumulate the value block over `samples` in order, centring positions
+/// on `pos.mean`. The samples must be the ones `pos` was built from.
+PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
+                                  const PlanePositionStats& pos);
+
+/// SoA variant of plane_value_stats; bit-identical (see above).
+PlaneValueStats plane_value_stats(std::span<const double> xs,
+                                  std::span<const double> ys,
+                                  std::span<const double> vs,
+                                  const PlanePositionStats& pos);
+
+/// Both sufficient-statistic blocks of one fit, computed together.
+struct PlaneStats {
+  PlanePositionStats pos;
+  PlaneValueStats val;
+};
+
+/// Fused batch kernel: both blocks in two passes over the three arrays
+/// (one for the means, one for the centred sums) instead of the four the
+/// split plane_position_stats + plane_value_stats path makes. Every
+/// accumulator chain still adds its own addend sequence in sample order —
+/// fusing interleaves *independent* chains, never reassociates within one
+/// — so each sum, and any fit solved from the blocks, is bit-identical to
+/// the split kernels. The loops are branch-free over raw contiguous
+/// arrays (no size checks inside, no indirect calls), which is what lets
+/// the compiler vectorize across the chains.
+PlaneStats plane_stats_batch(std::span<const double> xs,
+                             std::span<const double> ys,
+                             std::span<const double> vs);
+
+/// Pure SoA fit: plane_stats_batch + solve_plane, nothing else — no
+/// observability emission, no ops accounting, safe to call from exec pool
+/// workers. The parallel node phase fits with this and replays the
+/// instrumented fit_plane's metrics and ledger charge in its ordered
+/// merge via record_fit_metrics / record_degenerate_fit + fit_plane_ops.
+std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
+                                      std::span<const double> ys,
+                                      std::span<const double> vs);
+
+/// The metric emissions of one fit_plane call, exposed so a serial merge
+/// can replay them for fits computed on pool workers: record_fit_metrics
+/// first (fit count + scope-size observation), then record_degenerate_fit
+/// iff the fit failed — the exact order the instrumented path emits.
+void record_fit_metrics(std::size_t n_samples);
+void record_degenerate_fit();
+
+/// Solve the 3x3 normal equations assembled from the two blocks. Returns
+/// nullopt on degeneracy (fewer than 3 samples, or collinear positions).
+/// Pure arithmetic: no observability emission, no ops accounting — use
+/// fit_plane for the fully instrumented single-shot path.
+std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
+                                    const PlaneValueStats& val);
+
+/// Arithmetic-operation charge of one plane fit over n samples: ~12
+/// multiply-adds per sample for the sums plus a constant ~40 for the 3x3
+/// solve — the O(deg) cost quoted in Section 4.2. The charge is a
+/// function of the sample count only, so a cached fit replays it exactly.
+inline double fit_plane_ops(std::size_t n_samples) {
+  return 12.0 * static_cast<double>(n_samples) + 40.0;
+}
+
+/// Least-squares plane fit through the samples by solving the 3x3 normal
+/// equations A w = b of Eq. 2 (Section 3.3). Returns nullopt when the
+/// samples are degenerate (fewer than 3, or collinear positions), in which
+/// case no gradient estimate exists. Implemented as
+/// plane_position_stats + plane_value_stats + solve_plane, so callers
+/// holding a cached position block reproduce this function bit for bit.
+///
+/// `ops` (if non-null) is incremented with the arithmetic-operation count,
+/// which the protocol charges to the node's compute ledger — this is the
+/// O(deg) per-isoline-node cost of Section 4.2.
+std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
+                                  double* ops = nullptr);
+
+/// SoA variant of fit_plane over parallel coordinate/value arrays (the
+/// protocol's gradient-fit hot loop streams neighbour samples into flat
+/// scratch arrays and fits from them without building FieldSample
+/// structs). Same observability emission, same ops charge, bit-identical
+/// result to the AoS overload on the same sample sequence.
+std::optional<PlaneFit> fit_plane(std::span<const double> xs,
+                                  std::span<const double> ys,
+                                  std::span<const double> vs,
+                                  double* ops = nullptr);
+
+/// Solve a 3x3 linear system in-place by Gaussian elimination with partial
+/// pivoting. Returns false if singular. Exposed for testing.
+bool solve3x3(double a[3][3], double b[3], double x[3]);
+
+}  // namespace isomap
