@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "sim/capsule_fields.hpp"
 #include "sim/runners.hpp"
 
 namespace isomap::capsule {
@@ -35,99 +38,256 @@ constexpr std::size_t kMaxNodes = 1u << 22;
 constexpr std::size_t kMaxRounds = 1u << 20;
 constexpr std::size_t kMaxItems = 1u << 26;
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+using namespace schema;
 
-void put_vec2(Writer& w, Vec2 v) {
-  w.put_f64(v.x);
-  w.put_f64(v.y);
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// Count cap of a decoded vector, by element type.
+template <class T>
+inline constexpr std::size_t kMaxCount = kMaxItems;
+template <>
+inline constexpr std::size_t kMaxCount<DeploymentSnapshot::NodeRec> =
+    kMaxNodes;
+template <>  // one readings round
+inline constexpr std::size_t kMaxCount<double> = kMaxNodes;
+template <>
+inline constexpr std::size_t kMaxCount<std::vector<double>> = kMaxRounds;
+template <>
+inline constexpr std::size_t kMaxCount<RoundOutputs> = kMaxRounds;
+
+template <class E>
+concept IsField = requires(E e) { e.rule; };
+
+/// Calls `fn` on every entry of T's field table, in wire order.
+template <class T, class Fn>
+constexpr void for_each_entry(Fn&& fn) {
+  std::apply([&](const auto&... entry) { (fn(entry), ...); }, kFields<T>);
 }
 
-Vec2 get_vec2(Reader& r) {
-  Vec2 v;
-  v.x = r.get_f64();
-  v.y = r.get_f64();
-  return v;
-}
-
-void put_report(Writer& w, const IsolineReport& report) {
-  w.put_f64(report.isolevel);
-  put_vec2(w, report.position);
-  put_vec2(w, report.gradient);
-  w.put_i64(report.source);
-}
-
-IsolineReport get_report(Reader& r) {
-  IsolineReport report;
-  report.isolevel = r.get_f64();
-  report.position = get_vec2(r);
-  report.gradient = get_vec2(r);
-  report.source = static_cast<int>(r.get_i64());
-  return report;
-}
-
-void put_ledger(Writer& w, const obs::LedgerTotals& t) {
-  w.put_i64(t.nodes);
-  w.put_f64(t.tx_bytes);
-  w.put_f64(t.rx_bytes);
-  w.put_f64(t.ops);
-  w.put_f64(t.mean_ops);
-  w.put_f64(t.max_ops);
-}
-
-obs::LedgerTotals get_ledger(Reader& r) {
-  obs::LedgerTotals t;
-  t.nodes = static_cast<int>(r.get_i64());
-  t.tx_bytes = r.get_f64();
-  t.rx_bytes = r.get_f64();
-  t.ops = r.get_f64();
-  t.mean_ops = r.get_f64();
-  t.max_ops = r.get_f64();
-  return t;
-}
-
-void put_contours(Writer& w, const std::vector<LevelContour>& contours) {
-  w.put_u64(contours.size());
-  for (const LevelContour& lc : contours) {
-    w.put_f64(lc.isolevel);
-    w.put_i64(lc.report_count);
-    w.put_u64(lc.boundaries.size());
-    for (const auto& polyline : lc.boundaries) {
-      w.put_bool(polyline.closed);
-      w.put_u64(polyline.points.size());
-      for (Vec2 p : polyline.points) put_vec2(w, p);
-    }
+/// Smallest encoding of one T, up to its tail marker — or, with `per_node`,
+/// of one node's slice of a per-node table. get_count multiplies it by a
+/// decoded count, so a corrupt count fails before any allocation.
+template <class T>
+constexpr std::size_t min_bytes(bool per_node = false) {
+  if constexpr (std::is_same_v<T, double>) {
+    return 8;
+  } else if constexpr (kHasFields<T>) {
+    std::size_t total = 0;
+    bool ended = false;
+    for_each_entry<T>([&](const auto& e) {
+      using E = std::remove_cvref_t<decltype(e)>;
+      if constexpr (std::is_same_v<E, Tail>) {
+        ended = true;
+      } else if constexpr (IsField<E>) {
+        using M = typename E::Member;
+        if (ended) return;
+        if constexpr (kIsVector<M>)
+          total += per_node ? min_bytes<typename M::value_type>() : 1;
+        else if (!per_node)
+          total += min_bytes<M>();
+      }
+    });
+    return total;
+  } else {
+    return 1;  // any varint: integer, bool, enum, length or count
   }
 }
 
-std::vector<LevelContour> get_contours(Reader& r) {
-  std::vector<LevelContour> contours(r.get_count(kMaxItems, 10));
-  for (LevelContour& lc : contours) {
-    lc.isolevel = r.get_f64();
-    lc.report_count = static_cast<int>(r.get_i64());
-    lc.boundaries.resize(r.get_count(kMaxItems, 2));
-    for (auto& polyline : lc.boundaries) {
-      polyline.closed = r.get_bool();
-      polyline.points.resize(r.get_count(kMaxItems, 16));
-      for (Vec2& p : polyline.points) p = get_vec2(r);
-    }
+/// The meta section's leading run schema version.
+struct SchemaVersion {};
+constexpr SchemaVersion kSchemaVersion;
+
+// --- Writer walker ------------------------------------------------------
+
+template <class T>
+void write(Writer& w, const T& v) {
+  if constexpr (std::is_same_v<T, SchemaVersion>) {
+    w.put_u64(kRunSchemaVersion);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    w.put_bool(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.put_f64(v);
+  } else if constexpr (std::is_enum_v<T> || std::is_unsigned_v<T>) {
+    w.put_u64(static_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    w.put_i64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.put_string(v);
+  } else if constexpr (kIsVector<T>) {
+    w.put_u64(v.size());
+    for (const auto& item : v) write(w, item);
+  } else if constexpr (kIsOptional<T>) {
+    w.put_bool(v.has_value());
+    if (v) write(w, *v);
+  } else if constexpr (std::is_same_v<T, FaultPlan>) {
+    write(w, v.events());
+  } else {
+    bool per_node = false;  // past a PerNode marker
+    bool counted = false;   // per-node count already written
+    for_each_entry<T>([&](const auto& e) {
+      using E = std::remove_cvref_t<decltype(e)>;
+      if constexpr (std::is_same_v<E, PerNode>) {
+        per_node = true;
+      } else if constexpr (IsField<E>) {
+        const auto& value = v.*e.member;
+        if constexpr (kIsVector<typename E::Member>) {
+          if (per_node) {
+            if (!std::exchange(counted, true)) w.put_u64(value.size());
+            for (const auto& item : value) write(w, item);
+            return;
+          }
+        }
+        write(w, value);
+      }
+    });
   }
-  return contours;
 }
 
-/// Throws unless the section payload was consumed exactly — a decoded
-/// section with trailing bytes means schema skew or corruption.
-void expect_done(Reader& r, const char* section) {
-  if (!r.done())
-    throw CapsuleError(std::string(section) + " section has " +
-                       std::to_string(r.remaining()) + " trailing bytes");
+// --- Reader walker ------------------------------------------------------
+
+CapsuleError out_of_range(const char* name) {
+  return CapsuleError(std::string(name) + " out of range");
 }
 
-const Section& require(const Capsule& c, std::uint64_t tag,
-                       const char* name) {
-  const Section* s = c.find(tag);
-  if (s == nullptr)
-    throw CapsuleError(std::string("missing required section ") + name);
-  return *s;
+template <class T>
+void read(Reader& r, T& v, const char* name) {
+  if constexpr (std::is_same_v<T, const SchemaVersion>) {
+    const std::uint64_t schema = r.get_u64();
+    if (schema == 0 || schema > kRunSchemaVersion)
+      throw CapsuleError("unsupported run schema version " +
+                         std::to_string(schema));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = r.get_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.get_f64();
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint64_t raw = r.get_u64();
+    if (raw > static_cast<std::uint64_t>(last_value(T{})))
+      throw out_of_range(name);
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    v = r.get_u64();
+  } else if constexpr (std::is_integral_v<T>) {
+    const std::int64_t raw = r.get_i64();
+    if (!std::in_range<T>(raw)) throw out_of_range(name);
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.get_string();
+  } else if constexpr (kIsVector<T>) {
+    using Item = typename T::value_type;
+    v.resize(r.get_count(kMaxCount<Item>, min_bytes<Item>()));
+    for (Item& item : v) read(r, item, name);
+  } else if constexpr (kIsOptional<T>) {
+    if (r.get_bool())
+      read(r, v.emplace(), name);
+    else
+      v.reset();
+  } else if constexpr (std::is_same_v<T, FaultPlan>) {
+    std::vector<FaultEvent> events;
+    read(r, events, name);  // FaultEvent's rules keep add() from throwing
+    for (const FaultEvent& e : events) v.add(e);
+  } else {
+    bool per_node = false;             // past a PerNode marker
+    std::optional<std::size_t> nodes;  // its count, once read
+    bool ended = false;                // the payload stopped at a Tail
+    for_each_entry<T>([&](const auto& e) {
+      using E = std::remove_cvref_t<decltype(e)>;
+      if constexpr (std::is_same_v<E, PerNode>) {
+        per_node = true;
+      } else if constexpr (std::is_same_v<E, Tail>) {
+        ended = r.done();
+      } else if constexpr (IsField<E>) {
+        if (ended) return;
+        auto& value = v.*e.member;
+        if constexpr (kIsVector<typename E::Member>) {
+          if (per_node) {
+            if (!nodes) nodes = r.get_count(kMaxNodes, min_bytes<T>(true));
+            value.resize(*nodes);
+            for (auto& item : value) read(r, item, e.name);
+            return;
+          }
+        }
+        read(r, value, e.name);
+        if (e.rule != nullptr && !e.rule(value)) throw out_of_range(e.name);
+      }
+    });
+  }
+}
+
+// --- Sections -----------------------------------------------------------
+
+/// to_capsule's side of walk_sections.
+struct SectionWriter {
+  Capsule capsule;
+
+  void section(std::uint64_t tag, const char*, const auto&... parts) {
+    Writer w;
+    (write(w, parts), ...);
+    capsule.add(tag, w.take());
+  }
+  template <class T>
+  void optional_section(std::uint64_t tag, const char* name,
+                        const std::optional<T>& head, const auto&... rest) {
+    if (head) section(tag, name, *head, rest...);
+  }
+};
+
+/// from_capsule's side of walk_sections.
+struct SectionReader {
+  const Capsule& capsule;
+
+  void section(std::uint64_t tag, const char* name, auto&... parts) {
+    const Section* s = capsule.find(tag);
+    if (s == nullptr)
+      throw CapsuleError(std::string("missing required section ") + name);
+    decode(*s, name, parts...);
+  }
+  template <class T>
+  void optional_section(std::uint64_t tag, const char* name,
+                        std::optional<T>& head, auto&... rest) {
+    if (const Section* s = capsule.find(tag))
+      decode(*s, name, head.emplace(), rest...);
+  }
+  static void decode(const Section& s, const char* name, auto&... parts) {
+    Reader r(s.payload);
+    (read(r, parts, name), ...);
+    // Trailing bytes mean schema skew or corruption.
+    if (!r.done())
+      throw CapsuleError(std::string(name) + " section has " +
+                         std::to_string(r.remaining()) + " trailing bytes");
+  }
+};
+
+/// The run-level schema: every section in file order with the RunCapsule
+/// parts it stores. An optional section is present iff its head is set.
+template <class IO, class Run>
+void walk_sections(IO& io, Run& run) {
+  io.section(kMetaTag, "meta", kSchemaVersion, run.kind, run.label);
+  io.section(kConfigTag, "config", run.config);
+  io.section(kOptionsTag, "options", run.options);
+  io.optional_section(kLinkImpairTag, "link_impair", run.options.link_impair,
+                      run.options.link_arq);
+  if (run.kind == RunKind::kContinuous)
+    io.section(kContinuousTag, "continuous", run.continuous);
+  io.section(kDeploymentTag, "deployment", run.deployment.bounds,
+             run.radio_range, run.sink, run.deployment.nodes);
+  io.section(kFaultPlanTag, "fault_plan", run.fault_plan);
+  io.section(kReadingsTag, "readings", run.rounds);
+  if (run.kind == RunKind::kSingleShot) {
+    io.section(kSingleOutputsTag, "single_outputs", run.single);
+  } else {
+    io.section(kRoundOutputsTag, "round_outputs", run.round_outputs);
+    io.section(kFinalMapTag, "final_map", run.final_contours,
+               run.final_summary_json);
+  }
+  io.optional_section(kTelemetryTag, "telemetry", run.telemetry);
 }
 
 std::vector<LevelContour> extract_contours(const ContourMap& map) {
@@ -259,641 +419,74 @@ void execute_continuous(
   if (telemetry_out != nullptr) *telemetry_out = telemetry.snapshot();
 }
 
-std::string encode_telemetry(const obs::NodeTelemetrySnapshot& t) {
-  Writer w;
-  const auto n = static_cast<std::size_t>(t.size());
-  w.put_u64(n);
-  for (double v : t.tx_bytes) w.put_f64(v);
-  for (double v : t.rx_bytes) w.put_f64(v);
-  for (double v : t.ops) w.put_f64(v);
-  for (int v : t.hops) w.put_i64(v);
-  for (long long v : t.generated) w.put_i64(v);
-  for (long long v : t.delivered) w.put_i64(v);
-  for (long long v : t.filtered) w.put_i64(v);
-  for (long long v : t.lost_channel) w.put_i64(v);
-  for (long long v : t.lost_crash) w.put_i64(v);
-  for (long long v : t.relayed) w.put_i64(v);
-  for (long long v : t.retries) w.put_i64(v);
-  for (long long v : t.drops) w.put_i64(v);
-  w.put_f64(t.energy.tx_j_per_byte);
-  w.put_f64(t.energy.rx_j_per_byte);
-  w.put_f64(t.energy.j_per_op);
-  // Per-phase lanes stay out of the capsule on purpose: they are derived
-  // observability detail, and omitting them keeps the section a fixed
-  // 12-array schema. The link-impairment counters ride *after* the
-  // energy triple so pre-impairment readers (which stop at the triple)
-  // never see them, and pre-impairment capsules decode with the guarded
-  // tail below.
-  for (long long v : t.dup_rx) w.put_i64(v);
-  for (long long v : t.corrupt_rx) w.put_i64(v);
-  for (long long v : t.arq_timeouts) w.put_i64(v);
-  return w.take();
+// --- Pair walker --------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string at(const std::string& path, std::size_t i) {
+  return path + "[" + std::to_string(i) + "]";
 }
 
-void decode_telemetry(Reader r, obs::NodeTelemetrySnapshot& t) {
-  const std::size_t n = r.get_count(kMaxNodes, 12);
-  t.tx_bytes.resize(n);
-  t.rx_bytes.resize(n);
-  t.ops.resize(n);
-  t.hops.resize(n);
-  t.generated.resize(n);
-  t.delivered.resize(n);
-  t.filtered.resize(n);
-  t.lost_channel.resize(n);
-  t.lost_crash.resize(n);
-  t.relayed.resize(n);
-  t.retries.resize(n);
-  t.drops.resize(n);
-  for (double& v : t.tx_bytes) v = r.get_f64();
-  for (double& v : t.rx_bytes) v = r.get_f64();
-  for (double& v : t.ops) v = r.get_f64();
-  for (int& v : t.hops) v = static_cast<int>(r.get_i64());
-  for (long long& v : t.generated) v = r.get_i64();
-  for (long long& v : t.delivered) v = r.get_i64();
-  for (long long& v : t.filtered) v = r.get_i64();
-  for (long long& v : t.lost_channel) v = r.get_i64();
-  for (long long& v : t.lost_crash) v = r.get_i64();
-  for (long long& v : t.relayed) v = r.get_i64();
-  for (long long& v : t.retries) v = r.get_i64();
-  for (long long& v : t.drops) v = r.get_i64();
-  t.energy.tx_j_per_byte = r.get_f64();
-  t.energy.rx_j_per_byte = r.get_f64();
-  t.energy.j_per_op = r.get_f64();
-  // Impairment counters: absent in pre-impairment capsules, where the
-  // vectors stay empty. diff_telemetry treats an empty array as n zeros,
-  // so such capsules still compare clean against fresh replays (which
-  // always fill the arrays — with zeros on an unimpaired run).
-  if (!r.done()) {
-    t.dup_rx.resize(n);
-    t.corrupt_rx.resize(n);
-    t.arq_timeouts.resize(n);
-    for (long long& v : t.dup_rx) v = r.get_i64();
-    for (long long& v : t.corrupt_rx) v = r.get_i64();
-    for (long long& v : t.arq_timeouts) v = r.get_i64();
-  }
-  expect_done(r, "telemetry");
-}
-
-// --- Section payload encode/decode ------------------------------------
-
-std::string encode_meta(const RunCapsule& c) {
-  Writer w;
-  w.put_u64(kRunSchemaVersion);
-  w.put_u64(static_cast<std::uint64_t>(c.kind));
-  w.put_string(c.label);
-  return w.take();
-}
-
-void decode_meta(Reader r, RunCapsule& c) {
-  const std::uint64_t schema = r.get_u64();
-  if (schema == 0 || schema > kRunSchemaVersion)
-    throw CapsuleError("unsupported run schema version " +
-                       std::to_string(schema));
-  const std::uint64_t kind = r.get_u64();
-  if (kind > 1) throw CapsuleError("unknown run kind");
-  c.kind = static_cast<RunKind>(kind);
-  c.label = r.get_string();
-  expect_done(r, "meta");
-}
-
-std::string encode_config(const ScenarioConfig& s) {
-  Writer w;
-  w.put_i64(s.num_nodes);
-  w.put_f64(s.field_side);
-  w.put_f64(s.radio_range);
-  w.put_bool(s.grid_deployment);
-  w.put_f64(s.failure_fraction);
-  w.put_u64(static_cast<std::uint64_t>(s.field));
-  w.put_i64(s.random_field_bumps);
-  w.put_f64(s.random_field_amplitude);
-  w.put_u64(s.seed);
-  w.put_f64(s.sink_fx);
-  w.put_f64(s.sink_fy);
-  w.put_f64(s.reading_noise_std);
-  w.put_f64(s.position_error_std);
-  return w.take();
-}
-
-void decode_config(Reader r, ScenarioConfig& s) {
-  s.num_nodes = static_cast<int>(r.get_i64());
-  s.field_side = r.get_f64();
-  s.radio_range = r.get_f64();
-  s.grid_deployment = r.get_bool();
-  s.failure_fraction = r.get_f64();
-  const std::uint64_t field = r.get_u64();
-  if (field > static_cast<std::uint64_t>(FieldKind::kSloped))
-    throw CapsuleError("unknown field kind");
-  s.field = static_cast<FieldKind>(field);
-  s.random_field_bumps = static_cast<int>(r.get_i64());
-  s.random_field_amplitude = r.get_f64();
-  s.seed = r.get_u64();
-  s.sink_fx = r.get_f64();
-  s.sink_fy = r.get_f64();
-  s.reading_noise_std = r.get_f64();
-  s.position_error_std = r.get_f64();
-  expect_done(r, "config");
-}
-
-std::string encode_options(const IsoMapOptions& o) {
-  Writer w;
-  const ContourQuery& q = o.query;
-  w.put_f64(q.lambda_lo);
-  w.put_f64(q.lambda_hi);
-  w.put_f64(q.granularity);
-  w.put_f64(q.epsilon_fraction);
-  w.put_f64(q.angular_separation_deg);
-  w.put_f64(q.distance_separation);
-  w.put_bool(q.enable_filtering);
-  w.put_i64(q.regression_hops);
-  w.put_u64(static_cast<std::uint64_t>(o.regulation));
-  w.put_bool(o.account_local_measurement);
-  w.put_bool(o.account_query_dissemination);
-  w.put_f64(o.header_bytes);
-  w.put_f64(o.link_loss);
-  w.put_i64(o.link_retries);
-  w.put_u64(o.link_seed);
-  w.put_bool(o.link_burst.has_value());
-  if (o.link_burst) {
-    w.put_f64(o.link_burst->p_enter_burst);
-    w.put_f64(o.link_burst->p_exit_burst);
-    w.put_f64(o.link_burst->loss_good);
-    w.put_f64(o.link_burst->loss_bad);
-  }
-  const FaultConfig& f = o.fault;
-  w.put_f64(f.crash_fraction);
-  w.put_f64(f.crash_window_begin);
-  w.put_f64(f.crash_window_end);
-  w.put_bool(f.blackout);
-  put_vec2(w, f.blackout_center);
-  w.put_f64(f.blackout_radius);
-  w.put_f64(f.blackout_time);
-  w.put_u64(f.seed);
-  w.put_bool(f.self_healing);
-  w.put_bool(o.record_transmissions);
-  w.put_bool(o.adaptive_epsilon);
-  return w.take();
-}
-
-void decode_options(Reader r, IsoMapOptions& o) {
-  ContourQuery& q = o.query;
-  q.lambda_lo = r.get_f64();
-  q.lambda_hi = r.get_f64();
-  q.granularity = r.get_f64();
-  q.epsilon_fraction = r.get_f64();
-  q.angular_separation_deg = r.get_f64();
-  q.distance_separation = r.get_f64();
-  q.enable_filtering = r.get_bool();
-  q.regression_hops = static_cast<int>(r.get_i64());
-  const std::uint64_t regulation = r.get_u64();
-  if (regulation > static_cast<std::uint64_t>(RegulationMode::kBlended))
-    throw CapsuleError("unknown regulation mode");
-  o.regulation = static_cast<RegulationMode>(regulation);
-  o.account_local_measurement = r.get_bool();
-  o.account_query_dissemination = r.get_bool();
-  o.header_bytes = r.get_f64();
-  o.link_loss = r.get_f64();
-  o.link_retries = static_cast<int>(r.get_i64());
-  o.link_seed = r.get_u64();
-  if (r.get_bool()) {
-    GilbertElliottParams burst;
-    burst.p_enter_burst = r.get_f64();
-    burst.p_exit_burst = r.get_f64();
-    burst.loss_good = r.get_f64();
-    burst.loss_bad = r.get_f64();
-    o.link_burst = burst;
-  } else {
-    o.link_burst.reset();
-  }
-  FaultConfig& f = o.fault;
-  f.crash_fraction = r.get_f64();
-  f.crash_window_begin = r.get_f64();
-  f.crash_window_end = r.get_f64();
-  f.blackout = r.get_bool();
-  f.blackout_center = get_vec2(r);
-  f.blackout_radius = r.get_f64();
-  f.blackout_time = r.get_f64();
-  f.seed = r.get_u64();
-  f.self_healing = r.get_bool();
-  o.record_transmissions = r.get_bool();
-  o.adaptive_epsilon = r.get_bool();
-  expect_done(r, "options");
-}
-
-/// Link impairment + ARQ configuration (tag 12, optional — present only
-/// when options.link_impair is set, so pre-impairment capsules and
-/// unimpaired runs carry byte-identical sections).
-std::string encode_link_impair(const ImpairmentConfig& impair,
-                               const ArqConfig& arq) {
-  Writer w;
-  w.put_f64(impair.latency_s);
-  w.put_f64(impair.jitter_s);
-  w.put_f64(impair.dup_prob);
-  w.put_f64(impair.reorder_prob);
-  w.put_f64(impair.reorder_extra_s);
-  w.put_f64(impair.corrupt_prob);
-  w.put_i64(arq.window);
-  w.put_f64(arq.frame_payload_bytes);
-  w.put_f64(arq.timeout_s);
-  w.put_f64(arq.backoff_factor);
-  w.put_f64(arq.max_timeout_s);
-  w.put_i64(arq.max_frame_attempts);
-  return w.take();
-}
-
-void decode_link_impair(Reader r, IsoMapOptions& o) {
-  ImpairmentConfig impair;
-  impair.latency_s = r.get_f64();
-  impair.jitter_s = r.get_f64();
-  impair.dup_prob = r.get_f64();
-  impair.reorder_prob = r.get_f64();
-  impair.reorder_extra_s = r.get_f64();
-  impair.corrupt_prob = r.get_f64();
-  o.link_arq.window = static_cast<int>(r.get_i64());
-  o.link_arq.frame_payload_bytes = r.get_f64();
-  o.link_arq.timeout_s = r.get_f64();
-  o.link_arq.backoff_factor = r.get_f64();
-  o.link_arq.max_timeout_s = r.get_f64();
-  o.link_arq.max_frame_attempts = static_cast<int>(r.get_i64());
-  o.link_impair = impair;
-  expect_done(r, "link_impair");
-}
-
-std::string encode_continuous(const ContinuousOptions& o) {
-  Writer w;
-  w.put_f64(o.gradient_refresh_deg);
-  w.put_f64(o.withdraw_bytes);
-  w.put_f64(o.beacon_bytes);
-  w.put_i64(o.stale_rounds);
-  w.put_u64(static_cast<std::uint64_t>(o.engine));
-  return w.take();
-}
-
-void decode_continuous(Reader r, ContinuousOptions& o) {
-  o.gradient_refresh_deg = r.get_f64();
-  o.withdraw_bytes = r.get_f64();
-  o.beacon_bytes = r.get_f64();
-  o.stale_rounds = static_cast<int>(r.get_i64());
-  const std::uint64_t engine = r.get_u64();
-  if (engine > static_cast<std::uint64_t>(ContinuousEngine::kIncremental))
-    throw CapsuleError("unknown continuous engine");
-  o.engine = static_cast<ContinuousEngine>(engine);
-  expect_done(r, "continuous");
-}
-
-std::string encode_deployment(const RunCapsule& c) {
-  Writer w;
-  const DeploymentSnapshot& d = c.deployment;
-  w.put_f64(d.bounds.x0);
-  w.put_f64(d.bounds.y0);
-  w.put_f64(d.bounds.x1);
-  w.put_f64(d.bounds.y1);
-  w.put_f64(c.radio_range);
-  w.put_i64(c.sink);
-  w.put_u64(d.nodes.size());
-  for (const auto& node : d.nodes) {
-    put_vec2(w, node.pos);
-    w.put_bool(node.alive);
-    w.put_bool(node.believed.has_value());
-    if (node.believed) put_vec2(w, *node.believed);
-  }
-  return w.take();
-}
-
-void decode_deployment(Reader r, RunCapsule& c) {
-  DeploymentSnapshot& d = c.deployment;
-  d.bounds.x0 = r.get_f64();
-  d.bounds.y0 = r.get_f64();
-  d.bounds.x1 = r.get_f64();
-  d.bounds.y1 = r.get_f64();
-  c.radio_range = r.get_f64();
-  c.sink = static_cast<int>(r.get_i64());
-  d.nodes.resize(r.get_count(kMaxNodes, 18));
-  for (auto& node : d.nodes) {
-    node.pos = get_vec2(r);
-    node.alive = r.get_bool();
-    if (r.get_bool())
-      node.believed = get_vec2(r);
-    else
-      node.believed.reset();
-  }
-  if (c.sink < 0 || static_cast<std::size_t>(c.sink) >= d.nodes.size())
-    throw CapsuleError("sink id out of range");
-  expect_done(r, "deployment");
-}
-
-std::string encode_fault_plan(const FaultPlan& plan) {
-  Writer w;
-  w.put_u64(plan.size());
-  for (const FaultEvent& e : plan.events()) {
-    w.put_f64(e.time);
-    w.put_u64(static_cast<std::uint64_t>(e.kind));
-    w.put_i64(e.node);
-    put_vec2(w, e.center);
-    w.put_f64(e.radius);
-  }
-  return w.take();
-}
-
-void decode_fault_plan(Reader r, FaultPlan& plan) {
-  const std::size_t count = r.get_count(kMaxItems, 10);
-  for (std::size_t i = 0; i < count; ++i) {
-    FaultEvent e;
-    e.time = r.get_f64();
-    const std::uint64_t kind = r.get_u64();
-    if (kind > static_cast<std::uint64_t>(FaultKind::kRegionBlackout))
-      throw CapsuleError("unknown fault kind");
-    e.kind = static_cast<FaultKind>(kind);
-    e.node = static_cast<int>(r.get_i64());
-    e.center = get_vec2(r);
-    e.radius = r.get_f64();
-    if (!(e.time >= 0.0 && e.time <= 1.0) || !(e.radius >= 0.0))
-      throw CapsuleError("fault event out of range");
-    plan.add(e);
-  }
-  expect_done(r, "fault_plan");
-}
-
-std::string encode_readings(const std::vector<std::vector<double>>& rounds) {
-  Writer w;
-  w.put_u64(rounds.size());
-  for (const auto& round : rounds) {
-    w.put_u64(round.size());
-    for (double v : round) w.put_f64(v);
-  }
-  return w.take();
-}
-
-void decode_readings(Reader r, std::vector<std::vector<double>>& rounds) {
-  rounds.resize(r.get_count(kMaxRounds, 1));
-  for (auto& round : rounds) {
-    round.resize(r.get_count(kMaxNodes, 8));
-    for (double& v : round) v = r.get_f64();
-  }
-  expect_done(r, "readings");
-}
-
-std::string encode_single_outputs(const SingleShotOutputs& o) {
-  Writer w;
-  w.put_i64(o.isoline_node_count);
-  w.put_i64(o.generated_reports);
-  w.put_i64(o.delivered_reports);
-  w.put_i64(o.filtered_reports);
-  w.put_i64(o.lost_channel_reports);
-  w.put_i64(o.lost_crash_reports);
-  w.put_i64(o.crashed_nodes);
-  w.put_i64(o.route_repairs);
-  w.put_f64(o.repair_traffic_bytes);
-  w.put_f64(o.report_traffic_bytes);
-  w.put_f64(o.measurement_traffic_bytes);
-  w.put_f64(o.dissemination_traffic_bytes);
-  w.put_f64(o.bottleneck_bytes);
-  w.put_u64(o.sink_reports.size());
-  for (const auto& report : o.sink_reports) put_report(w, report);
-  put_contours(w, o.contours);
-  put_ledger(w, o.ledger);
-  w.put_string(o.summary_json);
-  // Impairment latency tail: appended after every original field so
-  // pre-impairment readers stop cleanly before it, and pre-impairment
-  // capsules decode with the guarded tail below (fields default to 0.0,
-  // matching an unimpaired fresh replay bit for bit).
-  w.put_f64(o.e2e_first_latency_s);
-  w.put_f64(o.e2e_last_latency_s);
-  w.put_f64(o.e2e_mean_latency_s);
-  return w.take();
-}
-
-void decode_single_outputs(Reader r, SingleShotOutputs& o) {
-  o.isoline_node_count = static_cast<int>(r.get_i64());
-  o.generated_reports = static_cast<int>(r.get_i64());
-  o.delivered_reports = static_cast<int>(r.get_i64());
-  o.filtered_reports = static_cast<int>(r.get_i64());
-  o.lost_channel_reports = static_cast<int>(r.get_i64());
-  o.lost_crash_reports = static_cast<int>(r.get_i64());
-  o.crashed_nodes = static_cast<int>(r.get_i64());
-  o.route_repairs = static_cast<int>(r.get_i64());
-  o.repair_traffic_bytes = r.get_f64();
-  o.report_traffic_bytes = r.get_f64();
-  o.measurement_traffic_bytes = r.get_f64();
-  o.dissemination_traffic_bytes = r.get_f64();
-  o.bottleneck_bytes = r.get_f64();
-  o.sink_reports.resize(r.get_count(kMaxItems, 40));
-  for (auto& report : o.sink_reports) report = get_report(r);
-  o.contours = get_contours(r);
-  o.ledger = get_ledger(r);
-  o.summary_json = r.get_string();
-  if (!r.done()) {
-    o.e2e_first_latency_s = r.get_f64();
-    o.e2e_last_latency_s = r.get_f64();
-    o.e2e_mean_latency_s = r.get_f64();
-  }
-  expect_done(r, "single_outputs");
-}
-
-std::string encode_round_outputs(const std::vector<RoundOutputs>& rounds) {
-  Writer w;
-  w.put_u64(rounds.size());
-  for (const RoundOutputs& o : rounds) {
-    w.put_i64(o.adds);
-    w.put_i64(o.refreshes);
-    w.put_i64(o.withdrawals);
-    w.put_i64(o.suppressed);
-    w.put_i64(o.keepalives);
-    w.put_i64(o.expired);
-    w.put_i64(o.active_reports);
-    w.put_f64(o.delta_traffic_bytes);
-    w.put_f64(o.beacon_traffic_bytes);
-    w.put_u64(o.sink.size());
-    for (const auto& entry : o.sink) {
-      w.put_i64(entry.node);
-      w.put_i64(entry.level);
-      w.put_i64(entry.last_update);
-      put_report(w, entry.report);
-    }
-    put_ledger(w, o.ledger);
-  }
-  return w.take();
-}
-
-void decode_round_outputs(Reader r, std::vector<RoundOutputs>& rounds) {
-  rounds.resize(r.get_count(kMaxRounds, 24));
-  for (RoundOutputs& o : rounds) {
-    o.adds = static_cast<int>(r.get_i64());
-    o.refreshes = static_cast<int>(r.get_i64());
-    o.withdrawals = static_cast<int>(r.get_i64());
-    o.suppressed = static_cast<int>(r.get_i64());
-    o.keepalives = static_cast<int>(r.get_i64());
-    o.expired = static_cast<int>(r.get_i64());
-    o.active_reports = static_cast<int>(r.get_i64());
-    o.delta_traffic_bytes = r.get_f64();
-    o.beacon_traffic_bytes = r.get_f64();
-    o.sink.resize(r.get_count(kMaxItems, 42));
-    for (auto& entry : o.sink) {
-      entry.node = static_cast<int>(r.get_i64());
-      entry.level = static_cast<int>(r.get_i64());
-      entry.last_update = static_cast<int>(r.get_i64());
-      entry.report = get_report(r);
-    }
-    o.ledger = get_ledger(r);
-  }
-  expect_done(r, "round_outputs");
-}
-
-std::string encode_final_map(const RunCapsule& c) {
-  Writer w;
-  put_contours(w, c.final_contours);
-  w.put_string(c.final_summary_json);
-  return w.take();
-}
-
-void decode_final_map(Reader r, RunCapsule& c) {
-  c.final_contours = get_contours(r);
-  c.final_summary_json = r.get_string();
-  expect_done(r, "final_map");
-}
-
-// --- Structured output diffing -----------------------------------------
-
-/// Collects the first mismatch; all eq_* helpers are no-ops once one is
-/// found, so comparisons read as straight-line code.
-class DiffFinder {
- public:
-  void eq_i(const std::string& where, long long stored, long long fresh) {
-    if (found_ || stored == fresh) return;
-    found_ = OutputDiff{where, "stored=" + std::to_string(stored) +
-                                   " recomputed=" + std::to_string(fresh)};
-  }
-  void eq_f(const std::string& where, double stored, double fresh) {
-    if (found_ || bits(stored) == bits(fresh)) return;
+/// Sets `found` to the first (stored, fresh) leaf pair under `path` that
+/// differs, named path.field[i].sub; a vector's length compares as
+/// path.count. A no-op once something is found.
+template <class T>
+void diff(std::optional<OutputDiff>& found, const std::string& path,
+          const T& s, const T& f) {
+  if (found) return;
+  if constexpr (std::is_same_v<T, double>) {
+    if (bits(s) == bits(f)) return;
     std::ostringstream os;
     os.precision(17);
-    os << "stored=" << stored << " recomputed=" << fresh << " (bits 0x"
-       << std::hex << bits(stored) << " vs 0x" << bits(fresh) << ")";
-    found_ = OutputDiff{where, os.str()};
-  }
-  void eq_s(const std::string& where, const std::string& stored,
-            const std::string& fresh) {
-    if (found_ || stored == fresh) return;
-    std::size_t at = 0;
-    while (at < stored.size() && at < fresh.size() && stored[at] == fresh[at])
-      ++at;
-    found_ = OutputDiff{where, "strings diverge at byte " +
-                                   std::to_string(at) + " (stored " +
-                                   std::to_string(stored.size()) +
-                                   " bytes, recomputed " +
-                                   std::to_string(fresh.size()) + ")"};
-  }
-  bool done() const { return found_.has_value(); }
-  const std::optional<OutputDiff>& result() const { return found_; }
-
- private:
-  std::optional<OutputDiff> found_;
-};
-
-void diff_reports(DiffFinder& d, const std::string& where,
-                  const std::vector<IsolineReport>& stored,
-                  const std::vector<IsolineReport>& fresh) {
-  d.eq_i(where + ".count", static_cast<long long>(stored.size()),
-         static_cast<long long>(fresh.size()));
-  for (std::size_t i = 0; i < stored.size() && !d.done(); ++i) {
-    const std::string at = where + "[" + std::to_string(i) + "]";
-    d.eq_f(at + ".isolevel", stored[i].isolevel, fresh[i].isolevel);
-    d.eq_f(at + ".position.x", stored[i].position.x, fresh[i].position.x);
-    d.eq_f(at + ".position.y", stored[i].position.y, fresh[i].position.y);
-    d.eq_f(at + ".gradient.x", stored[i].gradient.x, fresh[i].gradient.x);
-    d.eq_f(at + ".gradient.y", stored[i].gradient.y, fresh[i].gradient.y);
-    d.eq_i(at + ".source", stored[i].source, fresh[i].source);
-  }
-}
-
-void diff_contours(DiffFinder& d, const std::string& where,
-                   const std::vector<LevelContour>& stored,
-                   const std::vector<LevelContour>& fresh) {
-  d.eq_i(where + ".levels", static_cast<long long>(stored.size()),
-         static_cast<long long>(fresh.size()));
-  for (std::size_t k = 0; k < stored.size() && !d.done(); ++k) {
-    const std::string at = where + "[" + std::to_string(k) + "]";
-    d.eq_f(at + ".isolevel", stored[k].isolevel, fresh[k].isolevel);
-    d.eq_i(at + ".report_count", stored[k].report_count,
-           fresh[k].report_count);
-    d.eq_i(at + ".polylines", static_cast<long long>(stored[k].boundaries.size()),
-           static_cast<long long>(fresh[k].boundaries.size()));
-    for (std::size_t p = 0; p < stored[k].boundaries.size() && !d.done();
-         ++p) {
-      const auto& sp = stored[k].boundaries[p];
-      const auto& fp = fresh[k].boundaries[p];
-      const std::string pl = at + ".polyline[" + std::to_string(p) + "]";
-      d.eq_i(pl + ".closed", sp.closed ? 1 : 0, fp.closed ? 1 : 0);
-      d.eq_i(pl + ".points", static_cast<long long>(sp.points.size()),
-             static_cast<long long>(fp.points.size()));
-      for (std::size_t q = 0; q < sp.points.size() && !d.done(); ++q) {
-        const std::string pt = pl + "[" + std::to_string(q) + "]";
-        d.eq_f(pt + ".x", sp.points[q].x, fp.points[q].x);
-        d.eq_f(pt + ".y", sp.points[q].y, fp.points[q].y);
+    os << "stored=" << s << " recomputed=" << f << " (bits 0x" << std::hex
+       << bits(s) << " vs 0x" << bits(f) << ")";
+    found = OutputDiff{path, os.str()};
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    if (s == f) return;
+    found = OutputDiff{
+        path, "stored=" + std::to_string(static_cast<long long>(s)) +
+                  " recomputed=" + std::to_string(static_cast<long long>(f))};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (s == f) return;
+    const auto at = std::mismatch(s.begin(), s.end(), f.begin(), f.end());
+    found = OutputDiff{
+        path, "strings diverge at byte " +
+                  std::to_string(at.first - s.begin()) + " (stored " +
+                  std::to_string(s.size()) + " bytes, recomputed " +
+                  std::to_string(f.size()) + ")"};
+  } else if constexpr (kIsVector<T>) {
+    diff(found, path + ".count", s.size(), f.size());
+    for (std::size_t i = 0; i < s.size() && !found; ++i)
+      diff(found, at(path, i), s[i], f[i]);
+  } else {
+    bool per_node = false;  // past a PerNode marker
+    bool counted = false;   // per-node counts already compared
+    for_each_entry<T>([&](const auto& e) {
+      using E = std::remove_cvref_t<decltype(e)>;
+      if constexpr (std::is_same_v<E, PerNode>) {
+        per_node = true;
+      } else if constexpr (IsField<E>) {
+        const std::string sub = path + "." + e.name;
+        const auto& sv = s.*e.member;
+        const auto& fv = f.*e.member;
+        if constexpr (kIsVector<typename E::Member>) {
+          if (per_node) {
+            // A vector shorter than the other (an empty schema-1 tail)
+            // reads as zeros.
+            if (!std::exchange(counted, true))
+              diff(found, path + ".nodes", sv.size(), fv.size());
+            using Item = typename E::Member::value_type;
+            const std::size_t n = std::max(sv.size(), fv.size());
+            for (std::size_t i = 0; i < n && !found; ++i)
+              diff(found, at(sub, i), i < sv.size() ? sv[i] : Item{},
+                   i < fv.size() ? fv[i] : Item{});
+            return;
+          }
+        }
+        diff(found, sub, sv, fv);
       }
-    }
+    });
   }
-}
-
-void diff_telemetry(DiffFinder& d, const obs::NodeTelemetrySnapshot& stored,
-                    const obs::NodeTelemetrySnapshot& fresh) {
-  d.eq_i("telemetry.nodes", stored.size(), fresh.size());
-  if (d.done()) return;
-  const auto per_f64 = [&](const char* field,
-                           const std::vector<double>& s,
-                           const std::vector<double>& f) {
-    for (std::size_t i = 0; i < s.size() && !d.done(); ++i)
-      d.eq_f("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             s[i], f[i]);
-  };
-  const auto per_i64 = [&](const char* field,
-                           const std::vector<long long>& s,
-                           const std::vector<long long>& f) {
-    for (std::size_t i = 0; i < s.size() && !d.done(); ++i)
-      d.eq_i("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             s[i], f[i]);
-  };
-  per_f64("tx_bytes", stored.tx_bytes, fresh.tx_bytes);
-  per_f64("rx_bytes", stored.rx_bytes, fresh.rx_bytes);
-  per_f64("ops", stored.ops, fresh.ops);
-  for (std::size_t i = 0; i < stored.hops.size() && !d.done(); ++i)
-    d.eq_i("telemetry.hops[" + std::to_string(i) + "]", stored.hops[i],
-           fresh.hops[i]);
-  per_i64("generated", stored.generated, fresh.generated);
-  per_i64("delivered", stored.delivered, fresh.delivered);
-  per_i64("filtered", stored.filtered, fresh.filtered);
-  per_i64("lost_channel", stored.lost_channel, fresh.lost_channel);
-  per_i64("lost_crash", stored.lost_crash, fresh.lost_crash);
-  per_i64("relayed", stored.relayed, fresh.relayed);
-  per_i64("retries", stored.retries, fresh.retries);
-  per_i64("drops", stored.drops, fresh.drops);
-  // Impairment counters: a capsule recorded before they existed decodes
-  // them empty, which compares equal to the all-zero arrays an
-  // unimpaired fresh replay produces (empty reads as n zeros).
-  const auto per_i64_or_zero = [&](const char* field,
-                                   const std::vector<long long>& s,
-                                   const std::vector<long long>& f) {
-    const std::size_t n = std::max(s.size(), f.size());
-    for (std::size_t i = 0; i < n && !d.done(); ++i)
-      d.eq_i("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             i < s.size() ? s[i] : 0, i < f.size() ? f[i] : 0);
-  };
-  per_i64_or_zero("dup_rx", stored.dup_rx, fresh.dup_rx);
-  per_i64_or_zero("corrupt_rx", stored.corrupt_rx, fresh.corrupt_rx);
-  per_i64_or_zero("arq_timeouts", stored.arq_timeouts, fresh.arq_timeouts);
-}
-
-void diff_ledger(DiffFinder& d, const std::string& where,
-                 const obs::LedgerTotals& stored,
-                 const obs::LedgerTotals& fresh) {
-  d.eq_i(where + ".nodes", stored.nodes, fresh.nodes);
-  d.eq_f(where + ".tx_bytes", stored.tx_bytes, fresh.tx_bytes);
-  d.eq_f(where + ".rx_bytes", stored.rx_bytes, fresh.rx_bytes);
-  d.eq_f(where + ".ops", stored.ops, fresh.ops);
-  d.eq_f(where + ".mean_ops", stored.mean_ops, fresh.mean_ops);
-  d.eq_f(where + ".max_ops", stored.max_ops, fresh.max_ops);
 }
 
 }  // namespace
@@ -989,186 +582,57 @@ RunCapsule replay(const RunCapsule& stored, obs::TraceSink* trace) {
 
 std::optional<OutputDiff> diff_outputs(const RunCapsule& stored,
                                        const RunCapsule& fresh) {
-  DiffFinder d;
-  d.eq_i("meta.kind", static_cast<long long>(stored.kind),
-         static_cast<long long>(fresh.kind));
-  if (d.done()) return d.result();
+  std::optional<OutputDiff> found;
+  diff(found, "meta.kind", stored.kind, fresh.kind);
+  if (found) return found;
   if (stored.kind == RunKind::kSingleShot) {
-    const SingleShotOutputs& s = stored.single;
-    const SingleShotOutputs& f = fresh.single;
-    d.eq_i("single.isoline_node_count", s.isoline_node_count,
-           f.isoline_node_count);
-    d.eq_i("single.generated_reports", s.generated_reports,
-           f.generated_reports);
-    d.eq_i("single.delivered_reports", s.delivered_reports,
-           f.delivered_reports);
-    d.eq_i("single.filtered_reports", s.filtered_reports,
-           f.filtered_reports);
-    d.eq_i("single.lost_channel_reports", s.lost_channel_reports,
-           f.lost_channel_reports);
-    d.eq_i("single.lost_crash_reports", s.lost_crash_reports,
-           f.lost_crash_reports);
-    d.eq_i("single.crashed_nodes", s.crashed_nodes, f.crashed_nodes);
-    d.eq_i("single.route_repairs", s.route_repairs, f.route_repairs);
-    d.eq_f("single.repair_traffic_bytes", s.repair_traffic_bytes,
-           f.repair_traffic_bytes);
-    d.eq_f("single.report_traffic_bytes", s.report_traffic_bytes,
-           f.report_traffic_bytes);
-    d.eq_f("single.measurement_traffic_bytes", s.measurement_traffic_bytes,
-           f.measurement_traffic_bytes);
-    d.eq_f("single.dissemination_traffic_bytes",
-           s.dissemination_traffic_bytes, f.dissemination_traffic_bytes);
-    d.eq_f("single.bottleneck_bytes", s.bottleneck_bytes,
-           f.bottleneck_bytes);
-    d.eq_f("single.e2e_first_latency_s", s.e2e_first_latency_s,
-           f.e2e_first_latency_s);
-    d.eq_f("single.e2e_last_latency_s", s.e2e_last_latency_s,
-           f.e2e_last_latency_s);
-    d.eq_f("single.e2e_mean_latency_s", s.e2e_mean_latency_s,
-           f.e2e_mean_latency_s);
-    diff_reports(d, "single.sink_reports", s.sink_reports, f.sink_reports);
-    diff_contours(d, "single.contours", s.contours, f.contours);
-    diff_ledger(d, "single.ledger", s.ledger, f.ledger);
-    d.eq_s("single.summary", s.summary_json, f.summary_json);
-    // Telemetry is compared only when the stored capsule carries the
-    // section: pre-telemetry goldens keep their original surface.
-    if (stored.telemetry && fresh.telemetry)
-      diff_telemetry(d, *stored.telemetry, *fresh.telemetry);
-    return d.result();
-  }
-  d.eq_i("rounds.count", static_cast<long long>(stored.round_outputs.size()),
-         static_cast<long long>(fresh.round_outputs.size()));
-  for (std::size_t r = 0; r < stored.round_outputs.size() && !d.done();
-       ++r) {
-    const RoundOutputs& s = stored.round_outputs[r];
-    const RoundOutputs& f = fresh.round_outputs[r];
-    const std::string at = "rounds[" + std::to_string(r) + "]";
-    d.eq_i(at + ".adds", s.adds, f.adds);
-    d.eq_i(at + ".refreshes", s.refreshes, f.refreshes);
-    d.eq_i(at + ".withdrawals", s.withdrawals, f.withdrawals);
-    d.eq_i(at + ".suppressed", s.suppressed, f.suppressed);
-    d.eq_i(at + ".keepalives", s.keepalives, f.keepalives);
-    d.eq_i(at + ".expired", s.expired, f.expired);
-    d.eq_i(at + ".active_reports", s.active_reports, f.active_reports);
-    d.eq_f(at + ".delta_traffic_bytes", s.delta_traffic_bytes,
-           f.delta_traffic_bytes);
-    d.eq_f(at + ".beacon_traffic_bytes", s.beacon_traffic_bytes,
-           f.beacon_traffic_bytes);
-    d.eq_i(at + ".sink.count", static_cast<long long>(s.sink.size()),
-           static_cast<long long>(f.sink.size()));
-    for (std::size_t i = 0; i < s.sink.size() && !d.done(); ++i) {
-      const auto& se = s.sink[i];
-      const auto& fe = f.sink[i];
-      const std::string entry = at + ".sink[" + std::to_string(i) + "]";
-      d.eq_i(entry + ".node", se.node, fe.node);
-      d.eq_i(entry + ".level", se.level, fe.level);
-      d.eq_i(entry + ".last_update", se.last_update, fe.last_update);
-      d.eq_f(entry + ".report.isolevel", se.report.isolevel,
-             fe.report.isolevel);
-      d.eq_f(entry + ".report.position.x", se.report.position.x,
-             fe.report.position.x);
-      d.eq_f(entry + ".report.position.y", se.report.position.y,
-             fe.report.position.y);
-      d.eq_f(entry + ".report.gradient.x", se.report.gradient.x,
-             fe.report.gradient.x);
-      d.eq_f(entry + ".report.gradient.y", se.report.gradient.y,
-             fe.report.gradient.y);
-      d.eq_i(entry + ".report.source", se.report.source, fe.report.source);
-    }
-    diff_ledger(d, at + ".ledger", s.ledger, f.ledger);
-  }
-  diff_contours(d, "final_map.contours", stored.final_contours,
-                fresh.final_contours);
-  d.eq_s("final_map.summary", stored.final_summary_json,
+    diff(found, "single", stored.single, fresh.single);
+  } else {
+    diff(found, "rounds", stored.round_outputs, fresh.round_outputs);
+    diff(found, "final_map.contours", stored.final_contours,
+         fresh.final_contours);
+    diff(found, "final_map.summary", stored.final_summary_json,
          fresh.final_summary_json);
+  }
+  // Telemetry is compared only when the stored capsule carries the
+  // section: pre-telemetry goldens keep their original surface.
   if (stored.telemetry && fresh.telemetry)
-    diff_telemetry(d, *stored.telemetry, *fresh.telemetry);
-  return d.result();
+    diff(found, "telemetry", *stored.telemetry, *fresh.telemetry);
+  return found;
 }
 
 std::optional<OutputDiff> check_fault_plan(const RunCapsule& c) {
   const Deployment deployment = c.deployment.materialize();
   const FaultPlan derived =
       make_fault_plan(c.options.fault, deployment, c.sink);
-  DiffFinder d;
-  d.eq_i("fault_plan.count", static_cast<long long>(c.fault_plan.size()),
-         static_cast<long long>(derived.size()));
-  const auto& stored = c.fault_plan.events();
-  const auto& fresh = derived.events();
-  for (std::size_t i = 0; i < stored.size() && !d.done(); ++i) {
-    const std::string at = "fault_plan[" + std::to_string(i) + "]";
-    d.eq_f(at + ".time", stored[i].time, fresh[i].time);
-    d.eq_i(at + ".kind", static_cast<long long>(stored[i].kind),
-           static_cast<long long>(fresh[i].kind));
-    d.eq_i(at + ".node", stored[i].node, fresh[i].node);
-    d.eq_f(at + ".center.x", stored[i].center.x, fresh[i].center.x);
-    d.eq_f(at + ".center.y", stored[i].center.y, fresh[i].center.y);
-    d.eq_f(at + ".radius", stored[i].radius, fresh[i].radius);
-  }
-  return d.result();
+  std::optional<OutputDiff> found;
+  diff(found, "fault_plan", c.fault_plan.events(), derived.events());
+  return found;
 }
 
 Capsule to_capsule(const RunCapsule& run) {
-  Capsule c;
-  c.add(kMetaTag, encode_meta(run));
-  c.add(kConfigTag, encode_config(run.config));
-  c.add(kOptionsTag, encode_options(run.options));
-  if (run.options.link_impair)
-    c.add(kLinkImpairTag,
-          encode_link_impair(*run.options.link_impair, run.options.link_arq));
-  if (run.kind == RunKind::kContinuous)
-    c.add(kContinuousTag, encode_continuous(run.continuous));
-  c.add(kDeploymentTag, encode_deployment(run));
-  c.add(kFaultPlanTag, encode_fault_plan(run.fault_plan));
-  c.add(kReadingsTag, encode_readings(run.rounds));
-  if (run.kind == RunKind::kSingleShot) {
-    c.add(kSingleOutputsTag, encode_single_outputs(run.single));
-  } else {
-    c.add(kRoundOutputsTag, encode_round_outputs(run.round_outputs));
-    c.add(kFinalMapTag, encode_final_map(run));
-  }
-  if (run.telemetry) c.add(kTelemetryTag, encode_telemetry(*run.telemetry));
-  return c;
+  SectionWriter io;
+  walk_sections(io, run);
+  return std::move(io.capsule);
 }
 
 RunCapsule from_capsule(const Capsule& c) {
   RunCapsule run;
-  decode_meta(Reader(require(c, kMetaTag, "meta").payload), run);
-  decode_config(Reader(require(c, kConfigTag, "config").payload),
-                run.config);
-  decode_options(Reader(require(c, kOptionsTag, "options").payload),
-                 run.options);
-  if (const Section* s = c.find(kLinkImpairTag))
-    decode_link_impair(Reader(s->payload), run.options);
-  if (run.kind == RunKind::kContinuous) {
-    decode_continuous(
-        Reader(require(c, kContinuousTag, "continuous").payload),
-        run.continuous);
-    run.continuous.base = run.options;
+  SectionReader io{c};
+  walk_sections(io, run);
+  if (run.kind == RunKind::kContinuous) run.continuous.base = run.options;
+  if (run.sink < 0 ||
+      static_cast<std::size_t>(run.sink) >= run.deployment.nodes.size())
+    throw CapsuleError("sink id out of range");
+  if (run.options.link_impair) {
+    try {
+      run.options.link_impair->validate();
+      run.options.link_arq.validate();
+    } catch (const std::invalid_argument& e) {
+      throw CapsuleError(std::string("link_impair: ") + e.what());
+    }
   }
-  decode_deployment(Reader(require(c, kDeploymentTag, "deployment").payload),
-                    run);
-  decode_fault_plan(Reader(require(c, kFaultPlanTag, "fault_plan").payload),
-                    run.fault_plan);
-  decode_readings(Reader(require(c, kReadingsTag, "readings").payload),
-                  run.rounds);
   check_readings(run);
-  if (run.kind == RunKind::kSingleShot) {
-    decode_single_outputs(
-        Reader(require(c, kSingleOutputsTag, "single_outputs").payload),
-        run.single);
-  } else {
-    decode_round_outputs(
-        Reader(require(c, kRoundOutputsTag, "round_outputs").payload),
-        run.round_outputs);
-    decode_final_map(Reader(require(c, kFinalMapTag, "final_map").payload),
-                     run);
-  }
-  if (const Section* s = c.find(kTelemetryTag)) {
-    obs::NodeTelemetrySnapshot t;
-    decode_telemetry(Reader(s->payload), t);
-    run.telemetry = std::move(t);
-  }
   return run;
 }
 

@@ -8,15 +8,19 @@
 // tier-1 gate as well as a CI job.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/trace.hpp"
+#include "sim/capsule_fields.hpp"
 #include "sim/run_capsule.hpp"
 #include "sim/runners.hpp"
 #include "util/capsule.hpp"
@@ -399,6 +403,99 @@ TEST(RunCapsuleTest, ImpairedDiffCatchesLatencyPerturbation) {
 }
 
 // ---------------------------------------------------------------------------
+// Field tables.
+
+/// Converts to any member type, so T{AnyMember{}...} probes how many
+/// members aggregate T has.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+
+template <class T, class... Members>
+constexpr std::size_t aggregate_arity() {
+  if constexpr (requires { T{Members{}..., AnyMember{}}; })
+    return aggregate_arity<T, Members..., AnyMember>();
+  else
+    return sizeof...(Members);
+}
+
+/// Field and skip entries of T's table (tail / per-node markers excluded).
+template <class T>
+constexpr std::size_t table_members() {
+  return std::apply(
+      [](const auto&... e) {
+        return (std::size_t{0} + ... +
+                (requires { e.member; } ? std::size_t{1} : std::size_t{0}));
+      },
+      schema::kFields<T>);
+}
+
+template <class T>
+void expect_table_covers_members() {
+  EXPECT_EQ(table_members<T>(), aggregate_arity<T>())
+      << "a member of " << typeid(T).name()
+      << " has no field table entry (add a field, or a skip with a reason)";
+}
+
+template <class... T>
+void expect_tables_cover_members() {
+  (expect_table_covers_members<T>(), ...);
+}
+
+TEST(CapsuleSchema, EveryStoredMemberHasATableEntry) {
+  expect_tables_cover_members<
+      FieldBounds, ScenarioConfig, ContourQuery, IsoMapOptions,
+      GilbertElliottParams, FaultConfig, ImpairmentConfig, ArqConfig,
+      ContinuousOptions, DeploymentSnapshot::NodeRec, FaultEvent,
+      IsolineReport, ContourPolyline, LevelContour, obs::LedgerTotals,
+      SingleShotOutputs, ContinuousMapper::SinkDumpEntry, RoundOutputs,
+      obs::TelemetryEnergyModel, obs::NodeTelemetrySnapshot>();
+  // Vec2 is no aggregate (it has constructors): pin its layout instead.
+  static_assert(sizeof(Vec2) == 2 * sizeof(double));
+  EXPECT_EQ(table_members<Vec2>(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Decode-time range rules: a capsule that decodes must replay.
+
+const std::string kGoldenDir = ISOMAP_GOLDEN_DIR;
+
+TEST(CapsuleDecode, IntFieldsRejectValuesOutsideIntRange) {
+  // Rewrite the deployment section's sink varint to sink + 2^32, which a
+  // narrowing decode would silently read back as the original sink.
+  for (const char* name : {"single_small", "continuous_drift"}) {
+    SCOPED_TRACE(name);
+    Capsule c = read_file(kGoldenDir + "/" + name + ".capsule");
+    for (Section& s : c.sections) {
+      if (s.tag != 5) continue;  // deployment
+      Reader r(s.payload);
+      Writer w;
+      for (int i = 0; i < 5; ++i) w.put_f64(r.get_f64());  // bounds, range
+      const std::int64_t sink = r.get_i64();
+      w.put_i64(sink + (std::int64_t{1} << 32));
+      s.payload = w.take() + s.payload.substr(s.payload.size() - r.remaining());
+    }
+    EXPECT_THROW((void)from_capsule(Capsule::decode(c.encode())),
+                 CapsuleError);
+  }
+}
+
+TEST(CapsuleDecode, RejectsUnboundedQueriesAndInvalidLinkConfigs) {
+  const RunCapsule golden = load(kGoldenDir + "/impaired_arq.capsule");
+  ASSERT_TRUE(golden.options.link_impair.has_value());
+  for (const double granularity : {0.0, 1e-7}) {
+    RunCapsule run = golden;
+    run.options.query.granularity = granularity;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+        << "granularity " << granularity;
+  }
+  RunCapsule run = golden;
+  run.options.link_arq.window = 0;
+  EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz-ish decoder robustness. Run under ASan/UBSan in CI.
 
 /// from_capsule over arbitrary bytes must either produce a value or throw
@@ -444,20 +541,47 @@ TEST(CapsuleFuzz, CorruptCountsCannotBalloonAllocations) {
 // ---------------------------------------------------------------------------
 // Golden corpus: every committed capsule replays bit-identically.
 
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 TEST(GoldenCorpus, AllGoldensReplayBitIdentically) {
-  const std::string dir = ISOMAP_GOLDEN_DIR;
-  const char* names[] = {"single_small", "continuous_drift",
-                         "chaos_crash_burst", "band_edge_ulp",
-                         "impaired_arq"};
-  for (const char* name : names) {
-    SCOPED_TRACE(name);
-    const RunCapsule stored = load(dir + "/" + name + ".capsule");
+  // Digests of each golden decoded and encoded again. The four schema-1
+  // goldens gain the schema-2 tails on re-encode (SHA-256 prefixes
+  // 21d45fe3, 5021a012, 0f3f1bec, 784de186); impaired_arq is schema 2
+  // and re-encodes to its own file bytes (41458716).
+  const struct {
+    const char* name;
+    std::uint64_t reencoded_fnv1a;
+  } goldens[] = {{"single_small", 0x90d5e33fdebaee4bULL},
+                 {"continuous_drift", 0xb513890578dee044ULL},
+                 {"chaos_crash_burst", 0x3ce9ee3dc67eb661ULL},
+                 {"band_edge_ulp", 0x000b3e9126a6b98bULL},
+                 {"impaired_arq", 0x852db866ba7ff2d2ULL}};
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    const std::string path = kGoldenDir + "/" + golden.name + ".capsule";
+    const RunCapsule stored = load(path);
     const auto plan_diff = check_fault_plan(stored);
     EXPECT_FALSE(plan_diff.has_value())
         << plan_diff->where << ": " << plan_diff->detail;
     const RunCapsule fresh = replay(stored);
     const auto diff = diff_outputs(stored, fresh);
     EXPECT_FALSE(diff.has_value()) << diff->where << ": " << diff->detail;
+
+    const std::string reencoded = to_capsule(stored).encode();
+    EXPECT_EQ(fnv1a(reencoded), golden.reencoded_fnv1a);
+    EXPECT_EQ(to_capsule(from_capsule(Capsule::decode(reencoded))).encode(),
+              reencoded);
+    if (std::string(golden.name) == "impaired_arq") {
+      EXPECT_EQ(reencoded, read_file(path).encode());
+    }
   }
 }
 
