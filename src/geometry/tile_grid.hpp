@@ -79,18 +79,16 @@ class TileGrid {
     return {items_.data() + offsets_[t], items_.data() + offsets_[t + 1]};
   }
 
-  /// Visit every item in the 3x3 tile block around (col, row) — the
-  /// neighbourhood that covers one tile-length of reach in every
-  /// direction. Tiles are visited row-major, items in stored order.
-  template <typename Fn>
-  void for_each_in_block(int col, int row, Fn&& fn) const {
-    const int r0 = row > 0 ? row - 1 : 0;
-    const int r1 = row + 1 < layout_.rows ? row + 1 : layout_.rows - 1;
-    const int c0 = col > 0 ? col - 1 : 0;
-    const int c1 = col + 1 < layout_.cols ? col + 1 : layout_.cols - 1;
-    for (int r = r0; r <= r1; ++r)
-      for (int c = c0; c <= c1; ++c)
-        for (int idx : tile(c, r)) fn(idx);
+  /// Every item, tile-major: tile 0's items, then tile 1's, and so on in
+  /// tile_index order. The tiles of one row are adjacent, so a run of
+  /// columns c0..c1 in row r is the single range
+  /// [tile_begin(tile_index(c0, r)), tile_begin(tile_index(c1, r) + 1)).
+  std::span<const int> items() const { return items_; }
+
+  /// Position in items() of tile t's first item; tile_begin(tile_count())
+  /// is item_count().
+  std::size_t tile_begin(int t) const {
+    return static_cast<std::size_t>(offsets_[static_cast<std::size_t>(t)]);
   }
 
   std::size_t item_count() const { return items_.size(); }

@@ -6,70 +6,132 @@
 #include <queue>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
 #include "geometry/tile_grid.hpp"
 
 namespace isomap {
+namespace {
+
+/// Tile rows per parallel block of the CSR passes. Each node writes only
+/// its own offset and its own edge slice, so the partition (and the
+/// thread count) never shows in the output.
+constexpr std::size_t kTileRowsPerBlock = 4;
+
+/// Tiles along one axis: as many range-wide tiles as fit, but at most
+/// `cap`. Tiles wider than the range still put every neighbour inside the
+/// 3x3 block, so the cap changes the scan, never the edges.
+double tiles_along(double extent, double range, double cap) {
+  return std::clamp(std::floor(extent / range), 1.0, cap);
+}
+
+/// The alive nodes in TileGrid item order (tile-major), with their
+/// positions gathered once into the same order: the 3x3 tile block around
+/// a node is then three contiguous runs, one per tile row, instead of
+/// nine scattered tiles read through random position lookups.
+struct TileScan {
+  const TileGrid& grid;
+  std::span<const int> ids;  ///< grid.items(): node id of each slot.
+  std::vector<Vec2> pos;     ///< Position of each slot.
+  double range2;
+
+  /// Calls fn(j) for every node j within range of the node in slot k of
+  /// tile (col, row), other than that node itself.
+  template <typename Fn>
+  void for_each_neighbour(int col, int row, std::size_t k, Fn&& fn) const {
+    const TileLayout& l = grid.layout();
+    const int c0 = std::max(col - 1, 0);
+    const int c1 = std::min(col + 1, l.cols - 1);
+    const int r0 = std::max(row - 1, 0);
+    const int r1 = std::min(row + 1, l.rows - 1);
+    const Vec2 p = pos[k];
+    for (int r = r0; r <= r1; ++r) {
+      const std::size_t end = grid.tile_begin(l.tile_index(c1, r) + 1);
+      for (std::size_t m = grid.tile_begin(l.tile_index(c0, r)); m < end; ++m)
+        if (m != k && (pos[m] - p).norm2() <= range2) fn(ids[m]);
+    }
+  }
+
+  /// Calls fn(col, row, k) for every slot k, tile rows spread over the
+  /// exec pool in fixed blocks.
+  template <typename Fn>
+  void for_each_slot(Fn&& fn) const {
+    const TileLayout& l = grid.layout();
+    exec::parallel_for_blocks(
+        TileBlocks{static_cast<std::size_t>(l.rows), kTileRowsPerBlock},
+        [&](std::size_t, std::size_t row_begin, std::size_t row_end) {
+          for (auto row = static_cast<int>(row_begin);
+               row < static_cast<int>(row_end); ++row)
+            for (int col = 0; col < l.cols; ++col) {
+              const int t = l.tile_index(col, row);
+              for (std::size_t k = grid.tile_begin(t);
+                   k < grid.tile_begin(t + 1); ++k)
+                fn(col, row, k);
+            }
+        });
+  }
+};
+
+}  // namespace
 
 CommGraph::CommGraph(const Deployment& deployment, double radio_range)
     : radio_range_(radio_range) {
-  if (radio_range <= 0.0)
-    throw std::invalid_argument("CommGraph: radio_range must be positive");
+  if (!std::isfinite(radio_range) || radio_range <= 0.0)
+    throw std::invalid_argument(
+        "CommGraph: radio_range must be finite and positive");
   const auto& nodes = deployment.nodes();
   const std::size_t n = nodes.size();
   alive_.resize(n);
   std::vector<Vec2> pos(n);
+  std::size_t alive_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     alive_[i] = nodes[i].alive ? 1 : 0;
+    alive_count += alive_[i];
     pos[i] = nodes[i].pos;
   }
 
   // Tile grid keyed by the radio range (tile extent >= range, so a 3x3
-  // tile block covers every node within range). Tiles hold CSR-bucketed
-  // alive-node indices; dead nodes are never bucketed.
+  // tile block covers every node within range), with at most one tile
+  // per alive node so a tiny range cannot blow up the tile count. Tiles
+  // hold CSR-bucketed alive-node indices; dead nodes are never bucketed.
   const FieldBounds b = deployment.bounds();
-  const int cols =
-      std::max(1, static_cast<int>(std::floor(b.width() / radio_range)));
-  const int rows =
-      std::max(1, static_cast<int>(std::floor(b.height() / radio_range)));
-  const TileGrid grid(TileLayout{b.x0, b.y0, b.width() / cols,
-                                 b.height() / rows, cols, rows},
-                      pos, alive_);
-  const TileLayout& layout = grid.layout();
+  const double cap = std::max(1.0, static_cast<double>(alive_count));
+  double cols = tiles_along(b.width(), radio_range, cap);
+  double rows = tiles_along(b.height(), radio_range, cap);
+  if (cols * rows > cap) {
+    const double shrink = std::sqrt(cap / (cols * rows));
+    cols = std::max(1.0, std::floor(cols * shrink));
+    rows = std::max(1.0, std::floor(rows * shrink));
+  }
+  const TileGrid grid(
+      TileLayout{b.x0, b.y0, b.width() / cols, b.height() / rows,
+                 static_cast<int>(cols), static_cast<int>(rows)},
+      pos, alive_);
+  TileScan scan{grid, grid.items(), {}, radio_range * radio_range};
+  scan.pos.resize(scan.ids.size());
+  for (std::size_t k = 0; k < scan.ids.size(); ++k)
+    scan.pos[k] = pos[static_cast<std::size_t>(scan.ids[k])];
+  std::vector<Vec2>().swap(pos);  // Freed before the CSR arrays: peak RSS.
 
   // Adjacency is built straight into CSR form with two passes over the
-  // tile blocks: count each node's degree, prefix-sum the offsets, then
+  // tile rows: count each node's degree, prefix-sum the offsets, then
   // fill and sort each node's slice ascending. The sorted slice is
-  // uniquely determined by the neighbour *set*, so the edge array is
-  // bit-identical to the old per-node push_back + sort construction.
-  const double range2 = radio_range * radio_range;
+  // uniquely determined by the neighbour *set*, so the edge array does
+  // not depend on the scan order or the thread count.
   csr_offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive_[i]) continue;
-    const Vec2 p = pos[i];
+  scan.for_each_slot([&](int col, int row, std::size_t k) {
     int count = 0;
-    grid.for_each_in_block(
-        layout.col_of(p.x), layout.row_of(p.y), [&](int j) {
-          if (j == static_cast<int>(i)) return;
-          if ((pos[static_cast<std::size_t>(j)] - p).norm2() <= range2)
-            ++count;
-        });
-    csr_offsets_[i + 1] = count;
-  }
+    scan.for_each_neighbour(col, row, k, [&](int) { ++count; });
+    csr_offsets_[static_cast<std::size_t>(scan.ids[k]) + 1] = count;
+  });
   for (std::size_t i = 1; i <= n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
   csr_edges_.resize(static_cast<std::size_t>(csr_offsets_[n]));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive_[i]) continue;
-    const Vec2 p = pos[i];
-    int* slice = csr_edges_.data() + csr_offsets_[i];
+  scan.for_each_slot([&](int col, int row, std::size_t k) {
+    int* slice =
+        csr_edges_.data() + csr_offsets_[static_cast<std::size_t>(scan.ids[k])];
     int count = 0;
-    grid.for_each_in_block(
-        layout.col_of(p.x), layout.row_of(p.y), [&](int j) {
-          if (j == static_cast<int>(i)) return;
-          if ((pos[static_cast<std::size_t>(j)] - p).norm2() <= range2)
-            slice[count++] = j;
-        });
+    scan.for_each_neighbour(col, row, k, [&](int j) { slice[count++] = j; });
     std::sort(slice, slice + count);
-  }
+  });
 }
 
 double CommGraph::average_degree() const {

@@ -13,7 +13,8 @@ namespace isomap {
 /// Built with a uniform tile grid keyed by the radio range (cell size >=
 /// range), so edge discovery touches only the 3x3 tile block around each
 /// node and construction is O(n) for the unit-density deployments the
-/// paper simulates.
+/// paper simulates. Nodes are scanned in tile order, tile rows spread
+/// over the exec pool; the result is the same at any thread count.
 ///
 /// Adjacency is stored directly in CSR form: one flat edge array plus
 /// per-node offsets, with neighbour ids ascending within each node's
@@ -23,6 +24,7 @@ namespace isomap {
 /// and regression hot loops want to stream over anyway.
 class CommGraph {
  public:
+  /// Throws std::invalid_argument unless radio_range is finite and > 0.
   CommGraph(const Deployment& deployment, double radio_range);
 
   double radio_range() const { return radio_range_; }

@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
+
+namespace {
+
+/// Nodes per parallel block of the parent pass.
+constexpr std::size_t kNodesPerBlock = 4096;
+
+}  // namespace
 
 RoutingTree::RoutingTree(const CommGraph& graph, int sink_id)
     : sink_(sink_id) {
@@ -17,50 +25,85 @@ RoutingTree::RoutingTree(const CommGraph& graph, int sink_id)
 
   parent_.assign(n, -1);
   level_.assign(n, -1);
-  children_.assign(n, {});
 
-  // Level-synchronous BFS over a frontier kept in ascending id order:
-  // a node discovered by several frontier members gets the lowest-id one
-  // as its parent (CommGraph adjacency is sorted, frontier is sorted, and
-  // the first discoverer wins), making parent selection deterministic.
-  std::vector<int> frontier{sink_id};
-  level_[static_cast<std::size_t>(sink_id)] = 0;
-  while (!frontier.empty()) {
-    std::vector<int> next;
-    for (int u : frontier) {
+  // Levels are hop distances, so a plain BFS queue finds them whatever
+  // order each level is visited in.
+  {
+    std::vector<int> queue;
+    queue.reserve(n);
+    queue.push_back(sink_id);
+    level_[static_cast<std::size_t>(sink_id)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int u = queue[head];
+      const int next = level_[static_cast<std::size_t>(u)] + 1;
       for (int v : graph.neighbours(u)) {
         if (level_[static_cast<std::size_t>(v)] != -1) continue;
-        level_[static_cast<std::size_t>(v)] =
-            level_[static_cast<std::size_t>(u)] + 1;
-        parent_[static_cast<std::size_t>(v)] = u;
-        children_[static_cast<std::size_t>(u)].push_back(v);
-        next.push_back(v);
+        level_[static_cast<std::size_t>(v)] = next;
+        queue.push_back(v);
       }
     }
-    std::sort(next.begin(), next.end());
-    frontier = std::move(next);
   }
 
-  rebuild_order();
+  // Parent: the first neighbour in v's ascending slice one level closer
+  // to the sink, i.e. the lowest-id node of the previous level that can
+  // hear v. Each node reads its own slice and writes its own slot.
+  exec::parallel_for_blocks(
+      TileBlocks{n, kNodesPerBlock},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+          const int up = level_[v] - 1;
+          if (up < 0) continue;
+          for (int u : graph.neighbours(static_cast<int>(v))) {
+            if (level_[static_cast<std::size_t>(u)] == up) {
+              parent_[v] = u;
+              break;
+            }
+          }
+        }
+      });
+
+  rebuild_indexes();
 }
 
-void RoutingTree::rebuild_order() {
-  post_order_.clear();
+void RoutingTree::rebuild_indexes() {
+  const std::size_t n = level_.size();
   depth_ = 0;
   reachable_count_ = 0;
-  for (std::size_t i = 0; i < level_.size(); ++i) {
-    if (level_[i] < 0) continue;
+  child_offsets_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (level_[v] < 0) continue;
     ++reachable_count_;
-    depth_ = std::max(depth_, level_[i]);
-    post_order_.push_back(static_cast<int>(i));
+    depth_ = std::max(depth_, level_[v]);
+    if (parent_[v] >= 0) ++child_offsets_[static_cast<std::size_t>(parent_[v])];
   }
-  // Leaves first; ascending id within a level for platform-independent
+
+  // Children: counting sort by parent. After the prefix sum each
+  // offset is its parent's end; filling v in descending order walks every
+  // cursor back to its start and leaves each child list ascending.
+  for (std::size_t i = 1; i < n; ++i) child_offsets_[i] += child_offsets_[i - 1];
+  if (n > 0) child_offsets_[n] = child_offsets_[n - 1];
+  child_ids_.resize(static_cast<std::size_t>(child_offsets_[n]));
+  for (std::size_t v = n; v-- > 0;) {
+    const int p = parent_[v];
+    if (p < 0) continue;
+    child_ids_[static_cast<std::size_t>(
+        --child_offsets_[static_cast<std::size_t>(p)])] = static_cast<int>(v);
+  }
+
+  // Post-order: counting sort by level, deepest level first (leaves
+  // first), ascending id within a level for platform-independent
   // convergecast ordering.
-  std::sort(post_order_.begin(), post_order_.end(), [this](int a, int b) {
-    const int la = level_[static_cast<std::size_t>(a)];
-    const int lb = level_[static_cast<std::size_t>(b)];
-    return la != lb ? la > lb : a < b;
-  });
+  std::vector<int> cursor(static_cast<std::size_t>(depth_) + 2, 0);
+  for (std::size_t v = 0; v < n; ++v)
+    if (level_[v] >= 0)
+      ++cursor[static_cast<std::size_t>(depth_ - level_[v]) + 1];
+  for (std::size_t b = 1; b < cursor.size(); ++b) cursor[b] += cursor[b - 1];
+  post_order_.resize(static_cast<std::size_t>(reachable_count_));
+  for (std::size_t v = 0; v < n; ++v)
+    if (level_[v] >= 0)
+      post_order_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(depth_ - level_[v])]++)] =
+          static_cast<int>(v);
 }
 
 std::vector<int> RoutingTree::path_to_sink(int i) const {
@@ -96,22 +139,15 @@ RoutingTree::RepairReport RoutingTree::repair(const CommGraph& graph,
   std::vector<int> orphans;  // Alive detached nodes, by detach order.
   std::vector<int> stack;
   for (int root : detach_roots) {
-    if (level_[static_cast<std::size_t>(root)] < 0) continue;  // Already done.
-    // Unlink the subtree root from its surviving parent.
-    const int p = parent_[static_cast<std::size_t>(root)];
-    if (p >= 0) {
-      auto& siblings = children_[static_cast<std::size_t>(p)];
-      siblings.erase(std::remove(siblings.begin(), siblings.end(), root),
-                     siblings.end());
-    }
     stack.assign(1, root);
     while (!stack.empty()) {
       const int u = stack.back();
       stack.pop_back();
+      // Already detached with an earlier root's subtree.
+      if (level_[static_cast<std::size_t>(u)] < 0) continue;
       level_[static_cast<std::size_t>(u)] = -1;
       parent_[static_cast<std::size_t>(u)] = -1;
-      for (int c : children_[static_cast<std::size_t>(u)]) stack.push_back(c);
-      children_[static_cast<std::size_t>(u)].clear();
+      for (int c : children(u)) stack.push_back(c);
       if (alive[static_cast<std::size_t>(u)]) orphans.push_back(u);
     }
   }
@@ -160,7 +196,6 @@ RoutingTree::RepairReport RoutingTree::repair(const CommGraph& graph,
       parent_[static_cast<std::size_t>(o)] = p;
       level_[static_cast<std::size_t>(o)] =
           level_[static_cast<std::size_t>(p)] + 1;
-      children_[static_cast<std::size_t>(p)].push_back(o);
       if (ledger != nullptr) ledger->transmit(p, o, kRepairAckBytes);
       report.bytes += kRepairAckBytes;
       ++report.reattached;
@@ -169,7 +204,7 @@ RoutingTree::RepairReport RoutingTree::repair(const CommGraph& graph,
   }
   report.unreachable = report.orphaned - report.reattached;
 
-  rebuild_order();
+  rebuild_indexes();
   if (obs::NodeTelemetry* t = obs::telemetry()) {
     const int n = static_cast<int>(level_.size());
     for (int v = 0; v < n; ++v)

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/comm_graph.hpp"
@@ -12,12 +13,12 @@ namespace isomap {
 /// and its parent is one level lower (Madden et al., OSDI'02 — the routing
 /// substrate the paper assumes in Section 3.1).
 ///
-/// Construction is fully deterministic: the BFS is level-synchronous with
-/// each frontier processed in ascending node-id order, so a node with
-/// several minimum-level neighbours always picks the lowest-id one as its
-/// parent. Repairs (below) follow the same tie-break, which keeps fault
-/// runs reproducible across platforms and standard-library
-/// implementations.
+/// Construction is fully deterministic: a node with several
+/// minimum-level neighbours always picks the lowest-id one as its parent,
+/// the node that would discover it first in a level-synchronous BFS whose
+/// frontier runs in ascending id order. Repairs (below) follow the same
+/// tie-break, which keeps fault runs reproducible across platforms,
+/// standard-library implementations and thread counts.
 class RoutingTree {
  public:
   RoutingTree(const CommGraph& graph, int sink_id);
@@ -32,8 +33,12 @@ class RoutingTree {
 
   bool reachable(int i) const { return level_[static_cast<std::size_t>(i)] >= 0; }
 
-  const std::vector<int>& children(int i) const {
-    return children_[static_cast<std::size_t>(i)];
+  /// Children of node i, ascending: a slice of one flat array shared by
+  /// the whole tree, invalidated by repair().
+  std::span<const int> children(int i) const {
+    const auto u = static_cast<std::size_t>(i);
+    return {child_ids_.data() + child_offsets_[u],
+            child_ids_.data() + child_offsets_[u + 1]};
   }
 
   /// Maximum level over reachable nodes (the network diameter from the
@@ -79,12 +84,16 @@ class RoutingTree {
                       Ledger* ledger = nullptr);
 
  private:
-  void rebuild_order();
+  /// Rebuild children, post-order, depth and reachable count from
+  /// parent_ and level_.
+  void rebuild_indexes();
 
   int sink_;
   std::vector<int> parent_;
   std::vector<int> level_;
-  std::vector<std::vector<int>> children_;
+  /// Children CSR: child_ids_[child_offsets_[i] .. child_offsets_[i+1]).
+  std::vector<int> child_offsets_;
+  std::vector<int> child_ids_;
   std::vector<int> post_order_;
   int depth_ = 0;
   int reachable_count_ = 0;

@@ -72,8 +72,11 @@ constexpr FaultKind last_value(FaultKind) {
 /// enough that a corrupt granularity cannot make replay map millions.
 inline constexpr double kMaxQueryLevels = 4096.0;
 
+inline bool finite_positive(const double& v) {
+  return std::isfinite(v) && v > 0.0;
+}
 inline bool valid_query(const ContourQuery& q) {
-  return std::isfinite(q.granularity) && q.granularity > 0.0 &&
+  return finite_positive(q.granularity) &&
          (q.lambda_hi - q.lambda_lo) / q.granularity <= kMaxQueryLevels;
 }
 inline bool unit_interval(const double& v) { return v >= 0.0 && v <= 1.0; }

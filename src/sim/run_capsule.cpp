@@ -621,6 +621,7 @@ RunCapsule from_capsule(const Capsule& c) {
   SectionReader io{c};
   walk_sections(io, run);
   if (run.kind == RunKind::kContinuous) run.continuous.base = run.options;
+  if (!finite_positive(run.radio_range)) throw out_of_range("radio_range");
   if (run.sink < 0 ||
       static_cast<std::size_t>(run.sink) >= run.deployment.nodes.size())
     throw CapsuleError("sink id out of range");

@@ -71,7 +71,9 @@ Scenario make_scenario(const ScenarioConfig& config);
 /// Build a scenario over a caller-supplied field (e.g. a GridField loaded
 /// from a trace file); config.field is ignored and config.field_side is
 /// derived from the field's bounds. num_nodes, deployment style,
-/// failures, noise and seeds apply as usual.
+/// failures, noise and seeds apply as usual. The field is sampled from
+/// several exec threads at once, so its value() must be safe to call
+/// concurrently.
 Scenario make_scenario_with_field(ScenarioConfig config,
                                   std::shared_ptr<const ScalarField> field);
 

@@ -495,6 +495,18 @@ TEST(CapsuleDecode, RejectsUnboundedQueriesAndInvalidLinkConfigs) {
   EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
 }
 
+TEST(CapsuleDecode, RejectsNonFiniteOrNonPositiveRadioRange) {
+  const RunCapsule golden = load(kGoldenDir + "/single_small.capsule");
+  for (const double range : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -1.5}) {
+    RunCapsule run = golden;
+    run.radio_range = range;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+        << "radio_range " << range;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz-ish decoder robustness. Run under ASan/UBSan in CI.
 

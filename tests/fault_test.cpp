@@ -6,6 +6,7 @@
 #include "exec/exec.hpp"
 #include "fault/fault.hpp"
 #include "net/ledger.hpp"
+#include "net_oracle.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
 #include "sim/runners.hpp"
@@ -130,6 +131,11 @@ TEST(SelfHealing, OrphanReattachesToLowestLevelAliveNeighbour) {
   // The dead node is gone from every child list.
   for (int u = 0; u < 4; ++u)
     for (int c : tree.children(u)) EXPECT_NE(c, 1);
+  EXPECT_EQ(std::vector<int>(tree.children(0).begin(), tree.children(0).end()),
+            std::vector<int>{2});
+  EXPECT_EQ(std::vector<int>(tree.children(2).begin(), tree.children(2).end()),
+            std::vector<int>{3});
+  oracle::expect_consistent(graph, tree);
   // Energy: one beacon broadcast by the orphan + one ack from the parent.
   EXPECT_DOUBLE_EQ(report.bytes, RoutingTree::kRepairBeaconBytes +
                                      RoutingTree::kRepairAckBytes);
@@ -164,6 +170,54 @@ TEST(SelfHealing, SubtreeReattachesInWaves) {
     if (!tree.reachable(u) || u == tree.sink()) continue;
     EXPECT_EQ(tree.level(u), tree.level(tree.parent(u)) + 1);
   }
+  oracle::expect_consistent(graph, tree);
+}
+
+TEST(SelfHealing, NestedDeadSubtreesCountEachOrphanOnce) {
+  // Chain sink 5 - 4 - 3 - 2 - 1 - 0 (ids fall away from the sink). Dead
+  // node 1 lies inside dead node 3's subtree but is detached first (lower
+  // id); 3's detach walk must not count 1's orphan 0 a second time.
+  std::vector<Node> nodes;
+  for (int i = 0; i < 6; ++i)
+    nodes.push_back({i, {static_cast<double>(5 - i), 0.0}, true, {}});
+  const Deployment dep(kBounds, std::move(nodes));
+  const CommGraph graph(dep, 1.1);
+  RoutingTree tree(graph, 5);
+  std::vector<char> alive = {1, 0, 1, 0, 1, 1};
+  const auto report = tree.repair(graph, alive);
+  EXPECT_EQ(report.orphaned, 2);  // Nodes 0 and 2.
+  EXPECT_EQ(report.unreachable, 2);
+  EXPECT_EQ(tree.reachable_count(), 2);
+  oracle::expect_consistent(graph, tree);
+}
+
+TEST(SelfHealing, RepairedTreeStaysConsistentAcrossThreadCounts) {
+  // A 1500-node tree repaired twice; after each repair the children lists
+  // are rebuilt ascending from the parents and the post-order equals the
+  // comparator sort, and both thread counts repair identically.
+  std::vector<std::vector<int>> parents;
+  for (const int threads : {1, 4}) {
+    exec::set_thread_count(threads);
+    Rng rng(31);
+    const Deployment dep = Deployment::uniform_random(kBounds, 1500, rng);
+    const CommGraph graph(dep, 2.2);
+    const int sink = dep.nearest_alive({25, 25});
+    RoutingTree tree(graph, sink);
+    oracle::expect_built_by_rule(graph, tree);
+    std::vector<char> alive(1500, 1);
+    for (const double fraction : {0.1, 0.2}) {
+      for (int v = 0; v < 1500; ++v)
+        if (v != sink && rng.uniform() < fraction) alive[static_cast<std::size_t>(v)] = 0;
+      const auto report = tree.repair(graph, alive);
+      EXPECT_GT(report.orphaned, 0);
+      oracle::expect_consistent(graph, tree);
+    }
+    std::vector<int> parent;
+    for (int v = 0; v < 1500; ++v) parent.push_back(tree.parent(v));
+    parents.push_back(parent);
+  }
+  exec::set_thread_count(0);
+  EXPECT_EQ(parents[0], parents[1]);
 }
 
 TEST(SelfHealing, DisconnectedOrphanStaysUnreachable) {

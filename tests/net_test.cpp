@@ -5,10 +5,12 @@
 #include <limits>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
 #include "net/comm_graph.hpp"
 #include "net/deployment.hpp"
 #include "net/ledger.hpp"
 #include "net/routing_tree.hpp"
+#include "net_oracle.hpp"
 
 namespace isomap {
 namespace {
@@ -144,6 +146,90 @@ TEST(CommGraph, InvalidRangeThrows) {
   Rng rng(8);
   const Deployment dep = Deployment::uniform_random(kBounds, 10, rng);
   EXPECT_THROW(CommGraph(dep, 0.0), std::invalid_argument);
+  EXPECT_THROW(CommGraph(dep, -1.5), std::invalid_argument);
+  // NaN fails every comparison, so a `<= 0` check alone let it through
+  // and built a graph with no edges.
+  EXPECT_THROW(CommGraph(dep, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(CommGraph(dep, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+}
+
+TEST(CommGraph, TinyRangeKeepsTheTileCountBounded) {
+  // 1000 / 0.001 = 10^6 range-wide tiles per axis: 10^12 tiles, which
+  // overflowed int and threw std::length_error. The tile count is now
+  // capped by the alive-node count; a few close pairs still link.
+  Rng rng(14);
+  std::vector<Node> nodes =
+      Deployment::uniform_random({0, 0, 1000, 1000}, 100, rng).nodes();
+  for (int k = 0; k < 10; ++k) {
+    const Vec2 near = nodes[static_cast<std::size_t>(k)].pos + Vec2{0.0004, 0.0007};
+    nodes.push_back({static_cast<int>(nodes.size()), near, true, {}});
+  }
+  const Deployment dep({0, 0, 1000, 1000}, std::move(nodes));
+  const CommGraph graph(dep, 0.001);
+  EXPECT_EQ(graph.csr_edges().size(), 20u);
+  oracle::expect_graph_matches(graph, dep, 0.001);
+
+  // Capping each axis at the alive count alone would still leave
+  // 50000^2 tiles here; the grid must shrink as a whole.
+  const Deployment many =
+      Deployment::uniform_random({0, 0, 1000, 1000}, 50000, rng);
+  EXPECT_TRUE(CommGraph(many, 1e-9).csr_edges().empty());
+}
+
+/// A seeded deployment for the oracle checks, optionally with extra
+/// nodes on the far edges and corners of the bounds, where the tile
+/// lookup clamps the column and row into range.
+Deployment oracle_deployment(const FieldBounds& b, int n, double fail,
+                             bool boundary, std::uint64_t seed) {
+  Rng rng(seed);
+  Deployment random = Deployment::uniform_random(b, n, rng);
+  random.fail_random(fail, rng);
+  std::vector<Node> nodes = random.nodes();
+  if (boundary) {
+    const double mx = 0.5 * (b.x0 + b.x1);
+    const double my = 0.5 * (b.y0 + b.y1);
+    for (const Vec2 p : {Vec2{b.x1, b.y1}, Vec2{b.x1, b.y0}, Vec2{b.x0, b.y1},
+                         Vec2{b.x0, b.y0}, Vec2{b.x1, my}, Vec2{mx, b.y1},
+                         Vec2{b.x1 - 0.3, b.y1}, Vec2{b.x1, b.y1 - 0.3}})
+      nodes.push_back({static_cast<int>(nodes.size()), p, true, {}});
+  }
+  return Deployment(b, std::move(nodes));
+}
+
+TEST(CommGraph, MatchesBruteForceUnitDisc) {
+  const struct {
+    const char* name;
+    FieldBounds bounds;
+    int n;
+    double range;
+    double fail;
+    bool boundary;
+  } cases[] = {
+      {"dead nodes", {0, 0, 40, 40}, 1600, 1.5, 0.2, false},
+      {"offset origin, non-square", {-17.5, 230.25, 42.5, 250.25}, 1200, 1.3,
+       0.0, true},
+      {"range not dividing the sides", {5, 5, 36.7, 21.3}, 800, 2.9, 0.1, true},
+      {"range wider than the field", {0, 0, 6, 4}, 60, 9.0, 0.0, true},
+      {"sparse, few alive", {0, 0, 300, 200}, 400, 12.0, 0.9, true},
+  };
+  for (const int threads : {1, 4}) {
+    exec::set_thread_count(threads);
+    for (const auto& c : cases) {
+      SCOPED_TRACE(testing::Message() << c.name << ", threads " << threads);
+      const Deployment dep =
+          oracle_deployment(c.bounds, c.n, c.fail, c.boundary, 21);
+      const CommGraph graph(dep, c.range);
+      oracle::expect_graph_matches(graph, dep, c.range);
+      const FieldBounds& b = c.bounds;
+      const int sink =
+          dep.nearest_alive({0.5 * (b.x0 + b.x1), 0.5 * (b.y0 + b.y1)});
+      ASSERT_GE(sink, 0);
+      oracle::expect_built_by_rule(graph, RoutingTree(graph, sink));
+    }
+  }
+  exec::set_thread_count(0);
 }
 
 TEST(RoutingTree, LevelsIncreaseByOneHop) {
@@ -196,6 +282,7 @@ TEST(RoutingTree, ChildrenInverseOfParent) {
   for (int u = 0; u < dep.size(); ++u) {
     for (int c : tree.children(u)) EXPECT_EQ(tree.parent(c), u);
   }
+  oracle::expect_built_by_rule(graph, tree);
 }
 
 TEST(RoutingTree, DeadSinkThrows) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "eval/metrics.hpp"
+#include "exec/exec.hpp"
 #include "field/grid_field.hpp"
 #include "sim/runners.hpp"
 #include "sim/scenario.hpp"
@@ -35,6 +36,28 @@ TEST(MakeScenario, DeterministicForSeed) {
                      b.readings[static_cast<std::size_t>(i)]);
   }
   EXPECT_EQ(a.tree.sink(), b.tree.sink());
+}
+
+TEST(MakeScenario, IdenticalAcrossThreadCounts) {
+  // Field sampling, the graph and the tree run on the exec pool; the
+  // reading noise is drawn serially in node order after the sampling.
+  ScenarioConfig config;
+  config.num_nodes = 6000;
+  config.field_side = 70.0;
+  config.failure_fraction = 0.1;
+  config.reading_noise_std = 0.05;
+  config.seed = 9;
+  exec::set_thread_count(1);
+  const Scenario a = make_scenario(config);
+  exec::set_thread_count(4);
+  const Scenario b = make_scenario(config);
+  exec::set_thread_count(0);
+  EXPECT_EQ(a.readings, b.readings);
+  EXPECT_EQ(a.graph.csr_offsets(), b.graph.csr_offsets());
+  EXPECT_EQ(a.graph.csr_edges(), b.graph.csr_edges());
+  EXPECT_EQ(a.tree.post_order(), b.tree.post_order());
+  for (int v = 0; v < config.num_nodes; ++v)
+    ASSERT_EQ(a.tree.parent(v), b.tree.parent(v)) << v;
 }
 
 TEST(MakeScenario, DifferentSeedsDiffer) {
