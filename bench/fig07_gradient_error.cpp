@@ -40,15 +40,21 @@ int main() {
       const ContourQuery query = default_query(s.field, 4);
       const auto selected =
           select_isoline_nodes(s.graph, s.readings, query);
+      std::vector<double> xs, ys, vs;
+      const auto add_sample = [&](int v) {
+        const Vec2 p = s.deployment.node(v).pos;
+        xs.push_back(p.x);
+        ys.push_back(p.y);
+        vs.push_back(s.readings[static_cast<std::size_t>(v)]);
+      };
       for (const auto& entry : selected) {
         const Node& node = s.deployment.node(entry.node);
-        std::vector<FieldSample> fit_samples{
-            {node.pos, s.readings[static_cast<std::size_t>(entry.node)]}};
-        for (int nb : s.graph.neighbours(entry.node))
-          fit_samples.push_back(
-              {s.deployment.node(nb).pos,
-               s.readings[static_cast<std::size_t>(nb)]});
-        const auto fit = fit_plane(fit_samples);
+        xs.clear();
+        ys.clear();
+        vs.clear();
+        add_sample(entry.node);
+        for (int nb : s.graph.neighbours(entry.node)) add_sample(nb);
+        const auto fit = fit_plane(xs, ys, vs);
         if (!fit) continue;
         if (s.field.gradient(node.pos).norm() < 0.02) continue;
         const double e =

@@ -17,6 +17,10 @@
 #include "net/ledger.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
+#include "oracles/marching_squares_reference.hpp"
+#include "oracles/regression_aos.hpp"
+#include "oracles/selection_full_scan.hpp"
+#include "oracles/voronoi_brute_force.hpp"
 
 using namespace isomap;
 using namespace isomap::bench;
@@ -48,12 +52,48 @@ double best_ms(int reps, Fn&& fn) {
   return best;
 }
 
+/// Every alive node's regression samples — its own reading first, then
+/// its neighbours ascending, the protocol's order — as parallel
+/// coordinate/value arrays, one entry per node.
+struct Neighbourhoods {
+  std::vector<std::vector<double>> xs, ys, vs;
+  std::size_t size() const { return xs.size(); }
+};
+
+Neighbourhoods gather_neighbourhoods(const Scenario& s) {
+  Neighbourhoods out;
+  for (int i = 0; i < s.graph.size(); ++i) {
+    if (!s.graph.alive(i)) continue;
+    std::vector<double> xs, ys, vs;
+    const auto push = [&](int v) {
+      const Vec2 p = s.deployment.node(v).reported_pos();
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+      vs.push_back(s.readings[static_cast<std::size_t>(v)]);
+    };
+    push(i);
+    for (int nb : s.graph.neighbour_span(i)) push(nb);
+    out.xs.push_back(std::move(xs));
+    out.ys.push_back(std::move(ys));
+    out.vs.push_back(std::move(vs));
+  }
+  return out;
+}
+
+/// Bitwise equality of two fit outcomes (both absent, or equal
+/// coefficients).
+bool same_fit(const std::optional<PlaneFit>& a,
+              const std::optional<PlaneFit>& b) {
+  return a.has_value() == b.has_value() &&
+         (!a || (a->c0 == b->c0 && a->c1 == b->c1 && a->c2 == b->c2));
+}
+
 void require_identical_cells(const VoronoiDiagram& a,
-                             const VoronoiDiagram& b) {
+                             const std::vector<VoronoiCell>& b) {
   bool same = a.size() == b.size();
   for (std::size_t i = 0; same && i < a.size(); ++i)
-    same = a.cell(i).vertices == b.cell(i).vertices &&
-           a.cell(i).edge_tags == b.cell(i).edge_tags;
+    same = a.cell(i).vertices == b[i].vertices &&
+           a.cell(i).edge_tags == b[i].edge_tags;
   if (!same) {
     std::cerr << "[micro_hotpaths] indexed/brute cell mismatch\n";
     std::exit(1);
@@ -81,35 +121,6 @@ std::vector<std::pair<int, int>> k_hop_baseline(const CommGraph& graph, int i,
   return out;
 }
 
-/// The pre-banded Definition 3.1 evaluation: every level scanned.
-NodeSelectionResult selection_full_scan(const CommGraph& graph,
-                                        const std::vector<double>& readings,
-                                        int node,
-                                        const std::vector<double>& levels,
-                                        double epsilon,
-                                        std::vector<int>& admitted) {
-  admitted.clear();
-  NodeSelectionResult result;
-  const double v = readings[static_cast<std::size_t>(node)];
-  result.ops = static_cast<double>(levels.size());
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const double lambda = levels[li];
-    if (!is_candidate(v, lambda, epsilon)) continue;
-    ++result.candidates;
-    bool crossing = false;
-    for (int nb : graph.neighbours(node)) {
-      result.ops += 2.0;
-      const double nv = readings[static_cast<std::size_t>(nb)];
-      if ((v < lambda && lambda < nv) || (nv < lambda && lambda < v)) {
-        crossing = true;
-        break;
-      }
-    }
-    if (crossing) admitted.push_back(static_cast<int>(li));
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -125,16 +136,16 @@ int main() {
     // Identity first: the optimised construction must reproduce the
     // oracle bit for bit.
     require_identical_cells(
-        VoronoiDiagram(sites, 0, 0, 50, 50, VoronoiConstruction::kIndexed),
-        VoronoiDiagram(sites, 0, 0, 50, 50, VoronoiConstruction::kBruteForce));
+        VoronoiDiagram(sites, 0, 0, 50, 50),
+        oracle::voronoi_cells_brute_force(sites, 0, 0, 50, 50));
     const int brute_reps = n >= 10000 ? 1 : (n >= 2500 ? 2 : 5);
     const int indexed_reps = n >= 10000 ? 3 : 10;
     const double brute_ms = best_ms(brute_reps, [&] {
-      VoronoiDiagram vd(sites, 0, 0, 50, 50, VoronoiConstruction::kBruteForce);
-      if (vd.size() != sites.size()) std::exit(1);
+      const auto cells = oracle::voronoi_cells_brute_force(sites, 0, 0, 50, 50);
+      if (cells.size() != sites.size()) std::exit(1);
     });
     const double indexed_ms = best_ms(indexed_reps, [&] {
-      VoronoiDiagram vd(sites, 0, 0, 50, 50, VoronoiConstruction::kIndexed);
+      VoronoiDiagram vd(sites, 0, 0, 50, 50);
       if (vd.size() != sites.size()) std::exit(1);
     });
     table.row()
@@ -191,8 +202,8 @@ int main() {
       if (!s.graph.alive(i)) continue;
       const NodeSelectionResult got = evaluate_node_selection(
           s.graph, s.readings, i, levels, eps, banded);
-      const NodeSelectionResult want =
-          selection_full_scan(s.graph, s.readings, i, levels, eps, reference);
+      const NodeSelectionResult want = oracle::selection_full_scan(
+          s.graph, s.readings, i, levels, eps, reference);
       if (banded != reference || got.candidates != want.candidates ||
           got.ops != want.ops) {
         std::cerr << "[micro_hotpaths] selection mismatch at node " << i
@@ -205,8 +216,8 @@ int main() {
       double total = 0.0;
       for (int i = 0; i < s.graph.size(); ++i) {
         if (!s.graph.alive(i)) continue;
-        total += selection_full_scan(s.graph, s.readings, i, levels, eps,
-                                     reference)
+        total += oracle::selection_full_scan(s.graph, s.readings, i, levels,
+                                             eps, reference)
                      .ops;
       }
       sink = total;
@@ -235,31 +246,19 @@ int main() {
   // the value block and the 3x3 solve redone when readings change.
   // Identity-checked bit for bit on the fitted plane.
   for (const int n : {400, 2500, 10000}) {
-    const Scenario s = harbor_scenario(n, kBenchSeed);
-    std::vector<std::vector<FieldSample>> neighbourhoods;
-    for (int i = 0; i < s.graph.size(); ++i) {
-      if (!s.graph.alive(i)) continue;
-      std::vector<FieldSample> samples;
-      samples.push_back({s.deployment.node(i).reported_pos(),
-                         s.readings[static_cast<std::size_t>(i)]});
-      for (int nb : s.graph.neighbour_span(i))
-        samples.push_back({s.deployment.node(nb).reported_pos(),
-                           s.readings[static_cast<std::size_t>(nb)]});
-      neighbourhoods.push_back(std::move(samples));
-    }
+    const Neighbourhoods nh =
+        gather_neighbourhoods(harbor_scenario(n, kBenchSeed));
     std::vector<PlanePositionStats> pos_stats;
-    pos_stats.reserve(neighbourhoods.size());
-    for (const auto& samples : neighbourhoods)
-      pos_stats.push_back(plane_position_stats(samples));
-    for (std::size_t i = 0; i < neighbourhoods.size(); ++i) {
-      const auto full = fit_plane(neighbourhoods[i]);
-      const auto split = solve_plane(
-          pos_stats[i], plane_value_stats(neighbourhoods[i], pos_stats[i]));
-      const bool same =
-          full.has_value() == split.has_value() &&
-          (!full || (full->c0 == split->c0 && full->c1 == split->c1 &&
-                     full->c2 == split->c2));
-      if (!same) {
+    pos_stats.reserve(nh.size());
+    for (std::size_t i = 0; i < nh.size(); ++i)
+      pos_stats.push_back(plane_position_stats(nh.xs[i], nh.ys[i]));
+    const auto refresh = [&](std::size_t i) {
+      return solve_plane(pos_stats[i], plane_value_stats(nh.xs[i], nh.ys[i],
+                                                         nh.vs[i],
+                                                         pos_stats[i]));
+    };
+    for (std::size_t i = 0; i < nh.size(); ++i) {
+      if (!same_fit(fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]), refresh(i))) {
         std::cerr << "[micro_hotpaths] regression split mismatch\n";
         return 1;
       }
@@ -267,17 +266,15 @@ int main() {
     volatile double sink = 0.0;
     const double full_ms = best_ms(5, [&] {
       double total = 0.0;
-      for (const auto& samples : neighbourhoods)
-        if (const auto fit = fit_plane(samples)) total += fit->c1;
+      for (std::size_t i = 0; i < nh.size(); ++i)
+        if (const auto fit = fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))
+          total += fit->c1;
       sink = total;
     });
     const double split_ms = best_ms(5, [&] {
       double total = 0.0;
-      for (std::size_t i = 0; i < neighbourhoods.size(); ++i) {
-        const auto fit = solve_plane(
-            pos_stats[i], plane_value_stats(neighbourhoods[i], pos_stats[i]));
-        if (fit) total += fit->c1;
-      }
+      for (std::size_t i = 0; i < nh.size(); ++i)
+        if (const auto fit = refresh(i)) total += fit->c1;
       sink = total;
     });
     table.row()
@@ -288,41 +285,21 @@ int main() {
         .cell(full_ms / split_ms, 1);
   }
 
-  // SoA regression: the AoS fit_plane walks FieldSample structs (24-byte
-  // stride per coordinate); the SoA overload streams flat coordinate and
-  // value arrays. Each of the independent accumulator chains adds the same
-  // addends in the same order, so the fitted plane is bit-identical —
-  // checked on every neighbourhood before timing.
+  // SoA regression: the AoS oracle fit_plane walks FieldSample structs
+  // (24-byte stride per coordinate); the production fit_plane streams flat
+  // coordinate and value arrays. Each of the independent accumulator
+  // chains adds the same addends in the same order, so the fitted plane is
+  // bit-identical — checked on every neighbourhood before timing.
   for (const int n : {400, 2500, 10000}) {
-    const Scenario s = harbor_scenario(n, kBenchSeed);
-    std::vector<std::vector<FieldSample>> aos;
-    std::vector<std::vector<double>> all_xs, all_ys, all_vs;
-    for (int i = 0; i < s.graph.size(); ++i) {
-      if (!s.graph.alive(i)) continue;
-      std::vector<FieldSample> samples;
-      std::vector<double> xs, ys, vs;
-      const auto push = [&](int v) {
-        const Vec2 p = s.deployment.node(v).reported_pos();
-        const double reading = s.readings[static_cast<std::size_t>(v)];
-        samples.push_back({p, reading});
-        xs.push_back(p.x);
-        ys.push_back(p.y);
-        vs.push_back(reading);
-      };
-      push(i);
-      for (int nb : s.graph.neighbour_span(i)) push(nb);
-      aos.push_back(std::move(samples));
-      all_xs.push_back(std::move(xs));
-      all_ys.push_back(std::move(ys));
-      all_vs.push_back(std::move(vs));
-    }
+    const Neighbourhoods nh =
+        gather_neighbourhoods(harbor_scenario(n, kBenchSeed));
+    std::vector<std::vector<oracle::FieldSample>> aos(nh.size());
+    for (std::size_t i = 0; i < nh.size(); ++i)
+      for (std::size_t k = 0; k < nh.xs[i].size(); ++k)
+        aos[i].push_back({{nh.xs[i][k], nh.ys[i][k]}, nh.vs[i][k]});
     for (std::size_t i = 0; i < aos.size(); ++i) {
-      const auto a = fit_plane(aos[i]);
-      const auto b = fit_plane(all_xs[i], all_ys[i], all_vs[i]);
-      const bool same = a.has_value() == b.has_value() &&
-                        (!a || (a->c0 == b->c0 && a->c1 == b->c1 &&
-                                a->c2 == b->c2));
-      if (!same) {
+      if (!same_fit(oracle::fit_plane(aos[i]),
+                    fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))) {
         std::cerr << "[micro_hotpaths] AoS/SoA fit mismatch\n";
         return 1;
       }
@@ -331,13 +308,13 @@ int main() {
     const double aos_ms = best_ms(5, [&] {
       double total = 0.0;
       for (const auto& samples : aos)
-        if (const auto fit = fit_plane(samples)) total += fit->c1;
+        if (const auto fit = oracle::fit_plane(samples)) total += fit->c1;
       sink = total;
     });
     const double soa_ms = best_ms(5, [&] {
       double total = 0.0;
-      for (std::size_t i = 0; i < aos.size(); ++i)
-        if (const auto fit = fit_plane(all_xs[i], all_ys[i], all_vs[i]))
+      for (std::size_t i = 0; i < nh.size(); ++i)
+        if (const auto fit = fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))
           total += fit->c1;
       sink = total;
     });
@@ -350,43 +327,23 @@ int main() {
   }
 
   // Fused SoA fit: the split span kernels (plane_position_stats +
-  // plane_value_stats, four passes over the arrays — retained as the
-  // scalar oracle) vs plane_stats_batch's two fused branch-free passes.
-  // Fusing interleaves independent accumulator chains without touching
-  // any chain's addend order, so the fitted plane must be — and is
-  // checked to be — bit-identical before timing.
+  // plane_value_stats, four passes over the arrays) vs
+  // plane_stats_batch's two fused branch-free passes. Fusing interleaves
+  // independent accumulator chains without touching any chain's addend
+  // order, so the fitted plane must be — and is checked to be —
+  // bit-identical before timing.
   for (const int n : {400, 2500, 10000}) {
-    const Scenario s = harbor_scenario(n, kBenchSeed);
-    std::vector<std::vector<double>> all_xs, all_ys, all_vs;
-    for (int i = 0; i < s.graph.size(); ++i) {
-      if (!s.graph.alive(i)) continue;
-      std::vector<double> xs, ys, vs;
-      const auto push = [&](int v) {
-        const Vec2 p = s.deployment.node(v).reported_pos();
-        xs.push_back(p.x);
-        ys.push_back(p.y);
-        vs.push_back(s.readings[static_cast<std::size_t>(v)]);
-      };
-      push(i);
-      for (int nb : s.graph.neighbour_span(i)) push(nb);
-      all_xs.push_back(std::move(xs));
-      all_ys.push_back(std::move(ys));
-      all_vs.push_back(std::move(vs));
-    }
-    const auto split_fit = [](std::span<const double> xs,
-                              std::span<const double> ys,
-                              std::span<const double> vs) {
-      if (xs.size() < 3) return std::optional<PlaneFit>();
-      const PlanePositionStats pos = plane_position_stats(xs, ys);
-      return solve_plane(pos, plane_value_stats(xs, ys, vs, pos));
+    const Neighbourhoods nh =
+        gather_neighbourhoods(harbor_scenario(n, kBenchSeed));
+    const auto split_fit = [&](std::size_t i) {
+      if (nh.xs[i].size() < 3) return std::optional<PlaneFit>();
+      const PlanePositionStats pos = plane_position_stats(nh.xs[i], nh.ys[i]);
+      return solve_plane(pos,
+                         plane_value_stats(nh.xs[i], nh.ys[i], nh.vs[i], pos));
     };
-    for (std::size_t i = 0; i < all_xs.size(); ++i) {
-      const auto a = split_fit(all_xs[i], all_ys[i], all_vs[i]);
-      const auto b = fit_plane_soa(all_xs[i], all_ys[i], all_vs[i]);
-      const bool same = a.has_value() == b.has_value() &&
-                        (!a || (a->c0 == b->c0 && a->c1 == b->c1 &&
-                                a->c2 == b->c2));
-      if (!same) {
+    for (std::size_t i = 0; i < nh.size(); ++i) {
+      if (!same_fit(split_fit(i),
+                    fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))) {
         std::cerr << "[micro_hotpaths] split/fused fit mismatch\n";
         return 1;
       }
@@ -394,15 +351,14 @@ int main() {
     volatile double sink = 0.0;
     const double split_ms = best_ms(5, [&] {
       double total = 0.0;
-      for (std::size_t i = 0; i < all_xs.size(); ++i)
-        if (const auto fit = split_fit(all_xs[i], all_ys[i], all_vs[i]))
-          total += fit->c1;
+      for (std::size_t i = 0; i < nh.size(); ++i)
+        if (const auto fit = split_fit(i)) total += fit->c1;
       sink = total;
     });
     const double fused_ms = best_ms(5, [&] {
       double total = 0.0;
-      for (std::size_t i = 0; i < all_xs.size(); ++i)
-        if (const auto fit = fit_plane_soa(all_xs[i], all_ys[i], all_vs[i]))
+      for (std::size_t i = 0; i < nh.size(); ++i)
+        if (const auto fit = fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))
           total += fit->c1;
       sink = total;
     });
@@ -480,7 +436,7 @@ int main() {
       const std::vector<double> levels = {4.0, 8.0, 12.0, 16.0};
       for (const double level : levels) {
         const auto got = marching_squares(grid, level);
-        const auto want = marching_squares_reference(grid, level);
+        const auto want = oracle::marching_squares_reference(grid, level);
         bool same = got.size() == want.size();
         for (std::size_t c = 0; same && c < got.size(); ++c)
           same = got[c].points() == want[c].points() &&
@@ -495,7 +451,7 @@ int main() {
       const double reference_ms = best_ms(3, [&] {
         std::size_t total = 0;
         for (const double level : levels)
-          total += marching_squares_reference(grid, level).size();
+          total += oracle::marching_squares_reference(grid, level).size();
         sink = total;
       });
       const double cached_ms = best_ms(3, [&] {

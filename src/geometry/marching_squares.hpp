@@ -34,11 +34,4 @@ struct SampleGrid {
 std::vector<Polyline> marching_squares(const SampleGrid& grid,
                                        double isolevel);
 
-/// Straight-line reference implementation: evaluates every corner sample
-/// per cell (no row cache) and every edge crossing per cell (no laziness).
-/// Kept as the oracle for the identity checks in bench/micro_hotpaths and
-/// the geometry tests — marching_squares must reproduce it bit for bit.
-std::vector<Polyline> marching_squares_reference(const SampleGrid& grid,
-                                                 double isolevel);
-
 }  // namespace isomap

@@ -33,31 +33,20 @@ struct VoronoiCell {
   bool contains(Vec2 q, double eps = 1e-9) const;
 };
 
-/// How per-cell candidate bisectors are enumerated during construction.
-///  - kIndexed: expanding-ring enumeration over the spatial grid index —
-///    candidates arrive nearest-first straight from the index, so each
-///    cell touches O(its neighbourhood) sites and whole-diagram
-///    construction is near-linear in the site count.
-///  - kBruteForce: the original per-cell full sort of every site by
-///    distance, O(n^2 log n) overall. Kept as the equivalence oracle for
-///    tests and as the baseline the micro_hotpaths bench measures the
-///    indexed path against.
-/// Both modes process candidates in identical (distance, index) order and
-/// apply identical arithmetic, so they produce bitwise-identical cells.
-enum class VoronoiConstruction { kIndexed, kBruteForce };
-
 /// Bounded Voronoi diagram of a site set, clipped to an axis-aligned box.
 /// Built by incremental bisector clipping per cell: exact for the site
 /// sets the Iso-Map sink sees, with a distance-pruning cut-off (a bisector
 /// farther than twice the farthest current cell vertex cannot cut) that
-/// ends each cell's enumeration after its local neighbourhood.
+/// ends each cell's enumeration after its local neighbourhood. Candidate
+/// bisectors come from an expanding-ring enumeration over the spatial grid
+/// index, nearest-first, so each cell touches O(its neighbourhood) sites
+/// and whole-diagram construction is near-linear in the site count.
 class VoronoiDiagram {
  public:
   /// Sites must be distinct; the box must contain all sites. Duplicate
   /// sites are tolerated (the duplicate gets an empty cell).
   VoronoiDiagram(std::vector<Vec2> sites, double x0, double y0, double x1,
-                 double y1,
-                 VoronoiConstruction mode = VoronoiConstruction::kIndexed);
+                 double y1);
 
   const std::vector<Vec2>& sites() const { return sites_; }
   const std::vector<VoronoiCell>& cells() const { return cells_; }
@@ -72,9 +61,7 @@ class VoronoiDiagram {
   bool adjacent(int i, int j) const;
 
  private:
-  void build_cell(std::size_t i, const std::vector<int>& candidates);
   void build_indexed();
-  void build_brute_force();
 
   std::vector<Vec2> sites_;
   std::vector<VoronoiCell> cells_;

@@ -223,13 +223,19 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
   if (grad_round_[u] == round_counter_) return grad_value_[u];
 
   if (options_.engine == ContinuousEngine::kOracle) {
-    std::vector<FieldSample> samples;
-    samples.push_back({deployment_->node(node).reported_pos(), readings[u]});
-    for (int nb : graph_->neighbours(node))
-      samples.push_back({deployment_->node(nb).reported_pos(),
-                         readings[static_cast<std::size_t>(nb)]});
+    oracle_xs_.clear();
+    oracle_ys_.clear();
+    oracle_vs_.clear();
+    const auto gather = [&](int v) {
+      const Vec2 p = deployment_->node(v).reported_pos();
+      oracle_xs_.push_back(p.x);
+      oracle_ys_.push_back(p.y);
+      oracle_vs_.push_back(readings[static_cast<std::size_t>(v)]);
+    };
+    gather(node);
+    for (int nb : graph_->neighbour_span(node)) gather(nb);
     double ops = 0.0;
-    const auto fit = fit_plane(samples, &ops);
+    const auto fit = fit_plane(oracle_xs_, oracle_ys_, oracle_vs_, &ops);
     ledger.compute(node, ops);
     if (!fit) return std::nullopt;
     grad_round_[u] = round_counter_;
@@ -242,13 +248,16 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
     // Sample positions (own first, then neighbours ascending — the
     // oracle's order) and the position block of the sufficient
     // statistics are fixed for this topology; build them once.
-    fc.samples.clear();
-    fc.samples.push_back(
-        {deployment_->node(node).reported_pos(), readings[u]});
-    for (int nb : graph_->neighbour_span(node))
-      fc.samples.push_back({deployment_->node(nb).reported_pos(),
-                            readings[static_cast<std::size_t>(nb)]});
-    fc.pos_stats = plane_position_stats(fc.samples);
+    const auto nbs = graph_->neighbour_span(node);
+    fc.samples.assign(3 * (nbs.size() + 1), 0.0);
+    const auto xs = fc.column(0), ys = fc.column(1);
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      const int v = k == 0 ? node : nbs[k - 1];
+      const Vec2 p = deployment_->node(v).reported_pos();
+      xs[k] = p.x;
+      ys[k] = p.y;
+    }
+    fc.pos_stats = plane_position_stats(xs, ys);
     fc.primed = true;
     fc.valid = false;
   }
@@ -257,21 +266,23 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
     // only the value block + solve. The cached position block is the
     // bit-exact result of plane_position_stats over these positions, so
     // the fit equals fit_plane over the refreshed samples bit for bit.
-    fc.samples[0].value = readings[u];
+    const auto vs = fc.column(2);
+    vs[0] = readings[u];
     std::size_t i = 1;
     for (int nb : graph_->neighbour_span(node))
-      fc.samples[i++].value = readings[static_cast<std::size_t>(nb)];
-    replay_fit_metrics(fc.samples.size());
+      vs[i++] = readings[static_cast<std::size_t>(nb)];
+    replay_fit_metrics(vs.size());
     fc.ops = 0.0;
     fc.has_fit = false;
-    if (fc.samples.size() < 3) {
+    if (vs.size() < 3) {
       replay_degenerate_metric();
     } else {
-      const PlaneValueStats val = plane_value_stats(fc.samples, fc.pos_stats);
+      const PlaneValueStats val =
+          plane_value_stats(fc.column(0), fc.column(1), vs, fc.pos_stats);
       if (const auto fit = solve_plane(fc.pos_stats, val)) {
         fc.has_fit = true;
         fc.gradient = fit->descent_direction();
-        fc.ops = fit_plane_ops(fc.samples.size());
+        fc.ops = fit_plane_ops(vs.size());
       } else {
         replay_degenerate_metric();
       }
@@ -282,7 +293,7 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
     // Untouched neighbourhood: replay the oracle's instrumentation and
     // ledger charge for the cached fit. (A degenerate node is replayed
     // per selected entry, matching the oracle's per-entry refit.)
-    replay_fit_metrics(fc.samples.size());
+    replay_fit_metrics(fc.size());
     if (!fc.has_fit) replay_degenerate_metric();
     ledger.compute(node, fc.ops);
   }

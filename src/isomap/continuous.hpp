@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -190,7 +191,16 @@ class ContinuousMapper {
     Vec2 gradient{};
     double ops = 0.0;
     PlanePositionStats pos_stats;
-    std::vector<FieldSample> samples;
+    /// The samples as three parallel arrays back to back, [xs | ys | vs],
+    /// in one buffer (one allocation and one vector per node): xs and ys
+    /// are written once at prime, only vs is rewritten on refresh.
+    std::vector<double> samples;
+
+    std::size_t size() const { return samples.size() / 3; }
+    /// Column c of the buffer: 0 = xs, 1 = ys, 2 = vs.
+    std::span<double> column(std::size_t c) {
+      return std::span<double>(samples).subspan(c * size(), size());
+    }
   };
 
   /// Cached sink-side contour region for one isolevel, keyed by the
@@ -308,6 +318,8 @@ class ContinuousMapper {
   std::vector<std::size_t> now_keys_;  ///< Slots written this round.
   std::vector<int> grad_round_;   ///< Per-node round stamp of grad_value_.
   std::vector<Vec2> grad_value_;  ///< Per-round gradient memo.
+  /// kOracle's per-fit sample gather (own + neighbours, SoA).
+  std::vector<double> oracle_xs_, oracle_ys_, oracle_vs_;
   /// Per-level report grouping scratch for build_map_incremental.
   std::vector<std::vector<IsolineReport>> level_scratch_;
 };

@@ -32,32 +32,11 @@ bool solve3x3(double a[3][3], double b[3], double x[3]) {
   return true;
 }
 
-PlanePositionStats plane_position_stats(
-    const std::vector<FieldSample>& samples) {
-  // Centre the coordinates on the sample mean for numerical stability
-  // (the fitted gradient is translation-invariant; c0 is shifted back in
-  // solve_plane). Each sum accumulates its own addend sequence in sample
-  // order, so splitting position and value accumulation into separate
-  // loops leaves every individual sum — and hence the fit — bit-for-bit
-  // what the original single-loop accumulation produced.
-  PlanePositionStats stats;
-  stats.n = samples.size();
-  for (const auto& s : samples) stats.mean += s.pos;
-  if (stats.n > 0) stats.mean *= 1.0 / static_cast<double>(stats.n);
-  for (const auto& s : samples) {
-    const double x = s.pos.x - stats.mean.x;
-    const double y = s.pos.y - stats.mean.y;
-    stats.sx += x;
-    stats.sy += y;
-    stats.sxx += x * x;
-    stats.sxy += x * y;
-    stats.syy += y * y;
-  }
-  return stats;
-}
-
 PlanePositionStats plane_position_stats(std::span<const double> xs,
                                         std::span<const double> ys) {
+  // Centre the coordinates on the sample mean for numerical stability
+  // (the fitted gradient is translation-invariant; c0 is shifted back in
+  // solve_plane).
   PlanePositionStats stats;
   stats.n = xs.size();
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -73,22 +52,6 @@ PlanePositionStats plane_position_stats(std::span<const double> xs,
     stats.sxx += x * x;
     stats.sxy += x * y;
     stats.syy += y * y;
-  }
-  return stats;
-}
-
-PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
-                                  const PlanePositionStats& pos) {
-  PlaneValueStats stats;
-  for (const auto& s : samples) stats.mean_v += s.value;
-  if (pos.n > 0) stats.mean_v *= 1.0 / static_cast<double>(pos.n);
-  for (const auto& s : samples) {
-    const double x = s.pos.x - pos.mean.x;
-    const double y = s.pos.y - pos.mean.y;
-    const double v = s.value - stats.mean_v;
-    stats.sv += v;
-    stats.sxv += x * v;
-    stats.syv += y * v;
   }
   return stats;
 }
@@ -193,30 +156,6 @@ std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
   fit.c2 = w[2];
   // Un-centre the intercept: v = mean_v + w0 + c1 (x - mx) + c2 (y - my).
   fit.c0 = val.mean_v + w[0] - fit.c1 * pos.mean.x - fit.c2 * pos.mean.y;
-  return fit;
-}
-
-std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
-                                  double* ops) {
-  // Scope-size and degeneracy metrics for the RunSummary (one registry
-  // probe per fit; inert without an active obs scope).
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->add("regression.fits");
-    m->observe("regression.samples", static_cast<double>(samples.size()));
-  }
-  if (samples.size() < 3) {
-    obs::count("regression.degenerate");
-    return std::nullopt;
-  }
-
-  const PlanePositionStats pos = plane_position_stats(samples);
-  const PlaneValueStats val = plane_value_stats(samples, pos);
-  const auto fit = solve_plane(pos, val);
-  if (!fit) {
-    obs::count("regression.degenerate");
-    return std::nullopt;
-  }
-  if (ops) *ops += fit_plane_ops(samples.size());
   return fit;
 }
 

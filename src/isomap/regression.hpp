@@ -2,17 +2,10 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "geometry/vec2.hpp"
 
 namespace isomap {
-
-/// A (position, value) sample used in the local regression.
-struct FieldSample {
-  Vec2 pos{};
-  double value = 0.0;
-};
 
 /// Result of the local linear fit v = c0 + c1*x + c2*y.
 struct PlaneFit {
@@ -52,23 +45,18 @@ struct PlaneValueStats {
   double sv = 0.0, sxv = 0.0, syv = 0.0;
 };
 
-/// Accumulate the position block over `samples` in order.
-PlanePositionStats plane_position_stats(const std::vector<FieldSample>& samples);
-
-/// SoA variant: positions given as parallel coordinate arrays. Each
-/// accumulator adds the same addends in the same order as the AoS loop
-/// (vectorization happens across the independent sum chains and via unit-
-/// stride loads, never by reassociating within a chain), so the stats —
-/// and any fit solved from them — are bit-identical to the AoS path.
+/// Accumulate the position block over the samples in order; positions
+/// are given as parallel coordinate arrays. Each accumulator adds its own
+/// addends in sample order (vectorization happens across the independent
+/// sum chains and via unit-stride loads, never by reassociating within a
+/// chain), so the stats — and any fit solved from them — are
+/// bit-identical to the array-of-structs loop in tests/oracles.
 PlanePositionStats plane_position_stats(std::span<const double> xs,
                                         std::span<const double> ys);
 
-/// Accumulate the value block over `samples` in order, centring positions
-/// on `pos.mean`. The samples must be the ones `pos` was built from.
-PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
-                                  const PlanePositionStats& pos);
-
-/// SoA variant of plane_value_stats; bit-identical (see above).
+/// Accumulate the value block over the samples in order, centring
+/// positions on `pos.mean`. The samples must be the ones `pos` was built
+/// from. Bit-identical to the oracle's loop (see above).
 PlaneValueStats plane_value_stats(std::span<const double> xs,
                                   std::span<const double> ys,
                                   std::span<const double> vs,
@@ -124,24 +112,17 @@ inline double fit_plane_ops(std::size_t n_samples) {
   return 12.0 * static_cast<double>(n_samples) + 40.0;
 }
 
-/// Least-squares plane fit through the samples by solving the 3x3 normal
-/// equations A w = b of Eq. 2 (Section 3.3). Returns nullopt when the
-/// samples are degenerate (fewer than 3, or collinear positions), in which
-/// case no gradient estimate exists. Implemented as
-/// plane_position_stats + plane_value_stats + solve_plane, so callers
-/// holding a cached position block reproduce this function bit for bit.
+/// Least-squares plane fit through the samples, given as parallel
+/// coordinate/value arrays, by solving the 3x3 normal equations A w = b of
+/// Eq. 2 (Section 3.3). Returns nullopt when the samples are degenerate
+/// (fewer than 3, or collinear positions), in which case no gradient
+/// estimate exists. Bit-identical to plane_position_stats +
+/// plane_value_stats + solve_plane, so callers holding a cached position
+/// block reproduce this function bit for bit.
 ///
 /// `ops` (if non-null) is incremented with the arithmetic-operation count,
 /// which the protocol charges to the node's compute ledger — this is the
 /// O(deg) per-isoline-node cost of Section 4.2.
-std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
-                                  double* ops = nullptr);
-
-/// SoA variant of fit_plane over parallel coordinate/value arrays (the
-/// protocol's gradient-fit hot loop streams neighbour samples into flat
-/// scratch arrays and fits from them without building FieldSample
-/// structs). Same observability emission, same ops charge, bit-identical
-/// result to the AoS overload on the same sample sequence.
 std::optional<PlaneFit> fit_plane(std::span<const double> xs,
                                   std::span<const double> ys,
                                   std::span<const double> vs,

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "geometry/delaunay.hpp"
 #include "geometry/polygon.hpp"
+#include "oracles/delaunay.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {

@@ -6,7 +6,7 @@
 #include "exec/exec.hpp"
 #include "fault/fault.hpp"
 #include "net/ledger.hpp"
-#include "net_oracle.hpp"
+#include "oracles/net_oracle.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
 #include "sim/runners.hpp"

@@ -5,6 +5,7 @@
 #include "field/gaussian_field.hpp"
 #include "field/grid_field.hpp"
 #include "geometry/marching_squares.hpp"
+#include "oracles/marching_squares_reference.hpp"
 
 namespace isomap {
 namespace {
@@ -123,6 +124,37 @@ TEST_P(MarchingSquaresProperty, LevelSetsAreNested) {
   // And both levels produce extractable isolines.
   EXPECT_FALSE(marching_squares(sampled.as_sample_grid(), l1).empty());
   EXPECT_FALSE(marching_squares(sampled.as_sample_grid(), l2).empty());
+}
+
+TEST_P(MarchingSquaresProperty, BitwiseIdenticalToReference) {
+  // The row-cached, lazy-crossing kernel must reproduce the straight-line
+  // reference exactly: same chains, same closure, same point bits.
+  const auto expect_identical = [](const SampleGrid& grid, double level) {
+    const auto got = marching_squares(grid, level);
+    const auto want = oracle::marching_squares_reference(grid, level);
+    ASSERT_EQ(got.size(), want.size()) << "level " << level;
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(got[c].points(), want[c].points()) << "chain " << c;
+      EXPECT_EQ(got[c].closed(), want[c].closed()) << "chain " << c;
+    }
+  };
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 900);
+  GaussianField field =
+      GaussianField::random({0, 0, 10, 10}, 5, 2.0, rng);
+  const GridField sampled = GridField::sample(field, 97, 97);
+  const auto [lo, hi] = field.value_range(80);
+  for (const double t : {0.2, 0.5, 0.8})
+    expect_identical(sampled.as_sample_grid(), lo + t * (hi - lo));
+  // Hashed integer samples in [-2, 2]: samples and saddle centres land
+  // exactly on the isolevels, where a changed comparison would show.
+  SampleGrid lattice;
+  lattice.nx = lattice.ny = 41;
+  lattice.value = [seed = GetParam()](int ix, int iy) {
+    const std::uint64_t h = (ix * 73856093ULL) ^ (iy * 19349663ULL) ^
+                            (static_cast<std::uint64_t>(seed) * 83492791ULL);
+    return static_cast<double>((h >> 7) % 5) - 2.0;
+  };
+  for (const double level : {-1.0, 0.0, 1.0}) expect_identical(lattice, level);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MarchingSquaresProperty,

@@ -10,7 +10,7 @@
 #include "net/deployment.hpp"
 #include "net/ledger.hpp"
 #include "net/routing_tree.hpp"
-#include "net_oracle.hpp"
+#include "oracles/net_oracle.hpp"
 
 namespace isomap {
 namespace {

@@ -1,16 +1,32 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <span>
 #include <tuple>
 #include <vector>
 
 #include "field/gaussian_field.hpp"
 #include "isomap/regression.hpp"
+#include "oracles/regression_aos.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
 namespace {
+
+using oracle::FieldSample;
+
+/// The production fit_plane over `samples`, gathered into parallel arrays.
+std::optional<PlaneFit> fit_samples(const std::vector<FieldSample>& samples,
+                                    double* ops = nullptr) {
+  std::vector<double> xs, ys, vs;
+  for (const FieldSample& s : samples) {
+    xs.push_back(s.pos.x);
+    ys.push_back(s.pos.y);
+    vs.push_back(s.value);
+  }
+  return fit_plane(xs, ys, vs, ops);
+}
 
 TEST(Solve3x3, Identity) {
   double a[3][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
@@ -67,7 +83,7 @@ TEST(FitPlane, RecoversExactPlane) {
   for (double x : {0.0, 1.0, 2.0, 3.0})
     for (double y : {0.0, 1.5, 2.5})
       samples.push_back({{x, y}, 2.0 + 0.5 * x - 1.25 * y});
-  const auto fit = fit_plane(samples);
+  const auto fit = fit_samples(samples);
   ASSERT_TRUE(fit.has_value());
   EXPECT_NEAR(fit->c0, 2.0, 1e-9);
   EXPECT_NEAR(fit->c1, 0.5, 1e-9);
@@ -79,16 +95,16 @@ TEST(FitPlane, RecoversExactPlane) {
 }
 
 TEST(FitPlane, TooFewSamplesFails) {
-  EXPECT_FALSE(fit_plane({}).has_value());
-  EXPECT_FALSE(fit_plane({{{0, 0}, 1.0}}).has_value());
-  EXPECT_FALSE(fit_plane({{{0, 0}, 1.0}, {{1, 0}, 2.0}}).has_value());
+  EXPECT_FALSE(fit_samples({}).has_value());
+  EXPECT_FALSE(fit_samples({{{0, 0}, 1.0}}).has_value());
+  EXPECT_FALSE(fit_samples({{{0, 0}, 1.0}, {{1, 0}, 2.0}}).has_value());
 }
 
 TEST(FitPlane, CollinearPositionsFail) {
   std::vector<FieldSample> samples;
   for (double x : {0.0, 1.0, 2.0, 3.0, 4.0})
     samples.push_back({{x, 2.0 * x}, x});
-  EXPECT_FALSE(fit_plane(samples).has_value());
+  EXPECT_FALSE(fit_samples(samples).has_value());
 }
 
 TEST(FitPlane, OpsScaleWithSampleCount) {
@@ -102,8 +118,8 @@ TEST(FitPlane, OpsScaleWithSampleCount) {
   fill(small, 5);
   fill(large, 50);
   double ops_small = 0.0, ops_large = 0.0;
-  fit_plane(small, &ops_small);
-  fit_plane(large, &ops_large);
+  fit_samples(small, &ops_small);
+  fit_samples(large, &ops_large);
   EXPECT_GT(ops_small, 0.0);
   EXPECT_GT(ops_large, ops_small);
   // Linear in n: ratio of the per-sample parts ~ 10.
@@ -117,7 +133,7 @@ TEST(FitPlane, NumericallyStableFarFromOrigin) {
     for (double dy : {0.0, 0.5, 1.0})
       samples.push_back(
           {{10000.0 + dx, 10000.0 + dy}, 3.0 + 0.25 * dx - 0.5 * dy});
-  const auto fit = fit_plane(samples);
+  const auto fit = fit_samples(samples);
   ASSERT_TRUE(fit.has_value());
   EXPECT_NEAR(fit->c1, 0.25, 1e-6);
   EXPECT_NEAR(fit->c2, -0.5, 1e-6);
@@ -141,7 +157,7 @@ TEST_P(FitPlaneProperty, DescentDirectionApproximatesTrueGradient) {
                                    rng.uniform(-1.5, 1.5)};
       samples.push_back({p, field.value(p)});
     }
-    const auto fit = fit_plane(samples);
+    const auto fit = fit_samples(samples);
     ASSERT_TRUE(fit.has_value());
     const double err = angle_between(fit->descent_direction(), -g);
     EXPECT_LT(err, 30.0 * M_PI / 180.0);
@@ -157,7 +173,7 @@ TEST_P(FitPlaneProperty, ResidualIsMinimal) {
   for (int i = 0; i < 15; ++i)
     samples.push_back({{rng.uniform(0, 10), rng.uniform(0, 10)},
                        rng.uniform(-3, 3)});
-  const auto fit = fit_plane(samples);
+  const auto fit = fit_samples(samples);
   ASSERT_TRUE(fit.has_value());
   auto sse = [&](double c0, double c1, double c2) {
     double acc = 0.0;
@@ -179,8 +195,8 @@ TEST_P(FitPlaneProperty, ResidualIsMinimal) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FitPlaneProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// The SoA overloads feed the protocol's gradient hot loop; their contract
-// is *bitwise* agreement with the AoS path on the same sample sequence,
+// The SoA kernels feed the protocol's gradient hot loop; their contract
+// is *bitwise* agreement with the AoS oracle on the same sample sequence,
 // not merely numerical closeness — the golden capsules depend on it.
 
 std::tuple<std::vector<FieldSample>, std::vector<double>, std::vector<double>,
@@ -203,7 +219,7 @@ TEST(FitPlaneSoA, StatsBitwiseIdenticalToAoS) {
   Rng rng(71);
   for (const int n : {3, 4, 7, 16, 33, 60}) {
     const auto [aos, xs, ys, vs] = split_samples(n, rng);
-    const PlanePositionStats pa = plane_position_stats(aos);
+    const PlanePositionStats pa = oracle::plane_position_stats(aos);
     const PlanePositionStats ps = plane_position_stats(xs, ys);
     EXPECT_EQ(pa.n, ps.n);
     EXPECT_EQ(pa.mean.x, ps.mean.x);
@@ -213,7 +229,7 @@ TEST(FitPlaneSoA, StatsBitwiseIdenticalToAoS) {
     EXPECT_EQ(pa.sxx, ps.sxx);
     EXPECT_EQ(pa.sxy, ps.sxy);
     EXPECT_EQ(pa.syy, ps.syy);
-    const PlaneValueStats va = plane_value_stats(aos, pa);
+    const PlaneValueStats va = oracle::plane_value_stats(aos, pa);
     const PlaneValueStats vsoa = plane_value_stats(xs, ys, vs, ps);
     EXPECT_EQ(va.mean_v, vsoa.mean_v);
     EXPECT_EQ(va.sv, vsoa.sv);
@@ -228,7 +244,7 @@ TEST(FitPlaneSoA, FitBitwiseIdenticalToAoS) {
     const int n = 3 + static_cast<int>(rng.uniform_int(40));
     const auto [aos, xs, ys, vs] = split_samples(n, rng);
     double ops_a = 0.0, ops_s = 0.0;
-    const auto fit_a = fit_plane(aos, &ops_a);
+    const auto fit_a = oracle::fit_plane(aos, &ops_a);
     const auto fit_s = fit_plane(xs, ys, vs, &ops_s);
     ASSERT_EQ(fit_a.has_value(), fit_s.has_value()) << "trial " << trial;
     EXPECT_EQ(ops_a, ops_s);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "isomap/node_selection.hpp"
+#include "oracles/selection_full_scan.hpp"
 #include "sim/scenario.hpp"
 
 namespace isomap {
@@ -216,36 +217,6 @@ TEST(LevelRank, CountsStrictAndInclusiveRelations) {
             level_rank(levels, std::nextafter(20.0, 0.0)));
 }
 
-/// The pre-window full scan of Definition 3.1 — the reference the banded
-/// kernel must reproduce term for term (admissions, candidates, ops).
-NodeSelectionResult full_scan_selection(const CommGraph& graph,
-                                        const std::vector<double>& readings,
-                                        int node,
-                                        const std::vector<double>& levels,
-                                        double epsilon,
-                                        std::vector<int>& admitted) {
-  admitted.clear();
-  NodeSelectionResult result;
-  const double v = readings[static_cast<std::size_t>(node)];
-  result.ops = static_cast<double>(levels.size());
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const double lambda = levels[li];
-    if (!is_candidate(v, lambda, epsilon)) continue;
-    ++result.candidates;
-    bool crossing = false;
-    for (int nb : graph.neighbours(node)) {
-      result.ops += 2.0;
-      const double nv = readings[static_cast<std::size_t>(nb)];
-      if ((v < lambda && lambda < nv) || (nv < lambda && lambda < v)) {
-        crossing = true;
-        break;
-      }
-    }
-    if (crossing) admitted.push_back(static_cast<int>(li));
-  }
-  return result;
-}
-
 TEST(BandedSelection, MatchesFullScanIncludingBandEdges) {
   // Readings seeded uniformly plus a heavy dose of exact band-edge and
   // exact-level values (including one-ulp perturbations): the banded
@@ -277,7 +248,8 @@ TEST(BandedSelection, MatchesFullScanIncludingBandEdges) {
     const NodeSelectionResult got =
         evaluate_node_selection(s.graph, readings, node, levels, eps, banded);
     const NodeSelectionResult want =
-        full_scan_selection(s.graph, readings, node, levels, eps, reference);
+        oracle::selection_full_scan(s.graph, readings, node, levels, eps,
+                                    reference);
     EXPECT_EQ(banded, reference) << "node " << node;
     EXPECT_EQ(got.candidates, want.candidates) << "node " << node;
     EXPECT_DOUBLE_EQ(got.ops, want.ops) << "node " << node;

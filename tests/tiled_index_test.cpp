@@ -15,6 +15,7 @@
 #include "geometry/voronoi.hpp"
 #include "net/comm_graph.hpp"
 #include "net/deployment.hpp"
+#include "oracles/voronoi_brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -69,17 +70,16 @@ TEST_P(TiledIndexScale, VoronoiIndexedMatchesBruteForceBitwise) {
   Rng rng(static_cast<std::uint64_t>(n) * 131 + 3);
   const std::vector<Vec2> points = random_points(sites, side, rng);
 
-  const VoronoiDiagram indexed(points, 0, 0, side, side,
-                               VoronoiConstruction::kIndexed);
-  const VoronoiDiagram brute(points, 0, 0, side, side,
-                             VoronoiConstruction::kBruteForce);
+  const VoronoiDiagram indexed(points, 0, 0, side, side);
+  const std::vector<VoronoiCell> brute =
+      oracle::voronoi_cells_brute_force(points, 0, 0, side, side);
   ASSERT_EQ(indexed.size(), brute.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
-    EXPECT_EQ(indexed.cell(i).vertices, brute.cell(i).vertices)
+    EXPECT_EQ(indexed.cell(i).vertices, brute[i].vertices)
         << "n=" << n << " cell " << i;
-    EXPECT_EQ(indexed.cell(i).edge_tags, brute.cell(i).edge_tags)
+    EXPECT_EQ(indexed.cell(i).edge_tags, brute[i].edge_tags)
         << "n=" << n << " cell " << i;
-    EXPECT_EQ(indexed.cell(i).neighbours(), brute.cell(i).neighbours())
+    EXPECT_EQ(indexed.cell(i).neighbours(), brute[i].neighbours())
         << "n=" << n << " cell " << i;
   }
 }

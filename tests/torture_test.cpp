@@ -10,10 +10,10 @@
 
 #include "eval/metrics.hpp"
 #include "field/grid_field.hpp"
-#include "geometry/delaunay.hpp"
 #include "geometry/marching_squares.hpp"
 #include "geometry/point_index.hpp"
 #include "geometry/voronoi.hpp"
+#include "oracles/delaunay.hpp"
 #include "sim/runners.hpp"
 
 namespace isomap {

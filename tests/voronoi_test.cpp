@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "geometry/delaunay.hpp"
 #include "geometry/voronoi.hpp"
+#include "oracles/delaunay.hpp"
+#include "oracles/voronoi_brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -133,15 +134,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VoronoiProperty,
 // order through the same clipping arithmetic.
 void expect_identical_diagrams(const std::vector<Vec2>& sites, double x0,
                                double y0, double x1, double y1) {
-  const VoronoiDiagram indexed(sites, x0, y0, x1, y1,
-                               VoronoiConstruction::kIndexed);
-  const VoronoiDiagram brute(sites, x0, y0, x1, y1,
-                             VoronoiConstruction::kBruteForce);
+  const VoronoiDiagram indexed(sites, x0, y0, x1, y1);
+  const std::vector<VoronoiCell> brute =
+      oracle::voronoi_cells_brute_force(sites, x0, y0, x1, y1);
   ASSERT_EQ(indexed.size(), brute.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
-    EXPECT_EQ(indexed.cell(i).vertices, brute.cell(i).vertices)
+    EXPECT_EQ(indexed.cell(i).site, brute[i].site) << "cell " << i;
+    EXPECT_EQ(indexed.cell(i).vertices, brute[i].vertices)
         << "cell " << i << " vertices differ";
-    EXPECT_EQ(indexed.cell(i).edge_tags, brute.cell(i).edge_tags)
+    EXPECT_EQ(indexed.cell(i).edge_tags, brute[i].edge_tags)
         << "cell " << i << " tags differ";
   }
 }

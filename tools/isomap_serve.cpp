@@ -31,6 +31,7 @@
 //   4  runtime divergence (oracle mismatch, --min-cache-hits unmet)
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -195,9 +196,13 @@ int serve_mode(serve::ServiceScenario scenario) {
     request.shard = service.find_shard(name->as_string());
     bool ok = request.shard >= 0;
     for (std::size_t i = 0; ok && i < levels->size(); ++i) {
+      // A level is a finite integral number in [0, num_levels): checked
+      // on the double, so 1.9, -0.5 or 1e300 never reach the int cast.
       const JsonValue& l = levels->at(i);
-      if (!l.is_number()) ok = false;
-      else request.levels.push_back(static_cast<int>(l.as_number()));
+      const double x = l.is_number() ? l.as_number() : -1.0;
+      ok = std::isfinite(x) && x == std::floor(x) && x >= 0.0 &&
+           x < service.num_levels(request.shard);
+      if (ok) request.levels.push_back(static_cast<int>(x));
     }
     if (!ok || !service.normalize_levels(request)) {
       std::cout << "{\"error\":\"unknown deployment or bad levels\"}\n";

@@ -7,8 +7,8 @@
 // independent chains, never reassociate within one" rule was broken by a
 // compiler transform the flags toggle.
 //
-// The tool also checks each batch kernel against its scalar oracle
-// in-process and exits 1 on any mismatch, so a single build already
+// The tool also checks each batch kernel against its scalar oracle (from
+// the test-only isomap_oracles library, tests/oracles/) in-process and exits 1 on any mismatch, so a single build already
 // catches batch-vs-scalar divergence; the double-build diff adds the
 // flag-sensitivity axis.
 
@@ -21,6 +21,8 @@
 
 #include "geometry/marching_squares.hpp"
 #include "isomap/regression.hpp"
+#include "oracles/marching_squares_reference.hpp"
+#include "oracles/regression_aos.hpp"
 #include "sim/runners.hpp"
 #include "sim/scenario.hpp"
 
@@ -72,7 +74,7 @@ void fit_parity() {
   for (int trial = 0; trial < 64; ++trial) {
     const std::size_t n = 3 + static_cast<std::size_t>(splitmix64(rng) % 61);
     std::vector<double> xs(n), ys(n), vs(n);
-    std::vector<FieldSample> aos(n);
+    std::vector<oracle::FieldSample> aos(n);
     for (std::size_t i = 0; i < n; ++i) {
       xs[i] = uniform01(rng) * 40.0 - 20.0;
       ys[i] = uniform01(rng) * 40.0 - 20.0;
@@ -81,8 +83,8 @@ void fit_parity() {
     }
     // Oracle: the split AoS path (position stats, then value stats, then
     // the solve). The fused SoA kernel must reproduce it bit for bit.
-    const PlanePositionStats pos = plane_position_stats(aos);
-    const PlaneValueStats val = plane_value_stats(aos, pos);
+    const PlanePositionStats pos = oracle::plane_position_stats(aos);
+    const PlaneValueStats val = oracle::plane_value_stats(aos, pos);
     const auto split = solve_plane(pos, val);
     const auto fused = fit_plane_soa(xs, ys, vs);
     report("fit_plane_soa", "has_value",
@@ -146,7 +148,7 @@ void marching_parity() {
   Fnv fp;
   for (const double isolevel : {0.25, 0.5, 0.75}) {
     const auto fast = marching_squares(grid, isolevel);
-    const auto ref = marching_squares_reference(grid, isolevel);
+    const auto ref = oracle::marching_squares_reference(grid, isolevel);
     bool match = fast.size() == ref.size();
     for (std::size_t p = 0; match && p < fast.size(); ++p) {
       match = fast[p].points().size() == ref[p].points().size() &&
