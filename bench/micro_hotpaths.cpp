@@ -4,12 +4,18 @@
 // (fresh O(n) buffers per call vs the epoch-stamped scratch). Each pair is
 // identity-checked before timing, so a speedup can never come from a
 // behaviour change.
+// Later rows follow the same pattern for the other kernels, down to the
+// field sensing pass (per-call bump rotation vs the precomputed table).
 // Expectation: indexed Voronoi >= 5x at n = 10000; scratch BFS ahead of
-// the allocating baseline at every density.
+// the allocating baseline at every density; field sensing ~3x.
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 
 #include "bench/bench_common.hpp"
+#include "field/bathymetry.hpp"
+#include "field/blended_field.hpp"
 #include "geometry/marching_squares.hpp"
 #include "geometry/voronoi.hpp"
 #include "isomap/node_selection.hpp"
@@ -17,6 +23,8 @@
 #include "net/ledger.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
+#include "oracles/gaussian_field_reference.hpp"
+#include "oracles/k_hop_bfs.hpp"
 #include "oracles/marching_squares_reference.hpp"
 #include "oracles/regression_aos.hpp"
 #include "oracles/selection_full_scan.hpp"
@@ -100,34 +108,13 @@ void require_identical_cells(const VoronoiDiagram& a,
   }
 }
 
-/// The pre-optimisation k-hop BFS: fresh O(n) buffers on every call.
-std::vector<std::pair<int, int>> k_hop_baseline(const CommGraph& graph, int i,
-                                                int k) {
-  std::vector<std::pair<int, int>> out;
-  std::vector<int> hop(static_cast<std::size_t>(graph.size()), -1);
-  std::vector<int> queue;
-  hop[static_cast<std::size_t>(i)] = 0;
-  queue.push_back(i);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const int u = queue[head];
-    if (hop[static_cast<std::size_t>(u)] >= k) continue;
-    for (int v : graph.neighbours(u)) {
-      if (hop[static_cast<std::size_t>(v)] >= 0) continue;
-      hop[static_cast<std::size_t>(v)] = hop[static_cast<std::size_t>(u)] + 1;
-      out.emplace_back(v, hop[static_cast<std::size_t>(v)]);
-      queue.push_back(v);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main() {
   const std::string title =
       banner("Micro", "hot-path kernels, baseline vs optimised",
              "indexed Voronoi >= 5x at n = 10000; scratch BFS beats "
-             "per-call allocation at every size");
+             "per-call allocation at every size; field sensing ~3x");
 
   Table table({"kernel", "n", "baseline_ms", "optimized_ms", "speedup"});
 
@@ -162,7 +149,7 @@ int main() {
     // Identity: scratch BFS must return exactly the baseline's output.
     for (int i = 0; i < graph.size(); i += 37) {
       if (graph.k_hop_neighbours_with_distance(i, 2) !=
-          k_hop_baseline(graph, i, 2)) {
+          oracle::k_hop_bfs(graph, i, 2)) {
         std::cerr << "[micro_hotpaths] k_hop mismatch at node " << i << "\n";
         return 1;
       }
@@ -171,7 +158,7 @@ int main() {
     const double baseline_ms = best_ms(3, [&] {
       std::size_t total = 0;
       for (int i = 0; i < graph.size(); ++i)
-        total += k_hop_baseline(graph, i, 2).size();
+        total += oracle::k_hop_bfs(graph, i, 2).size();
       sink = total;
     });
     const double scratch_ms = best_ms(3, [&] {
@@ -523,6 +510,54 @@ int main() {
         .cell(enabled_ms, 2)
         .cell(disabled_ms, 2)
         .cell(enabled_ms / disabled_ms, 1);
+  }
+
+  // Field sensing: one harbor_drift-sized sense pass — 40,000 node
+  // positions on the 200x200 harbor blended halfway toward the silted
+  // seabed, 32 bumps per reading. The oracle recomputes each bump's cos
+  // and sin on every call; GaussianField reads them from the table it
+  // built at construction. Identity-checked bit for bit on every reading
+  // before timing.
+  {
+    const FieldBounds fb{0.0, 0.0, 200.0, 200.0};
+    const GaussianField harbor = harbor_bathymetry(fb);
+    const GaussianField silted = silted_harbor_bathymetry(fb);
+    const double alpha = 0.5;
+    const BlendedField blend(harbor, silted, alpha);
+    const int n = 40000;
+    Rng rng(kBenchSeed);
+    std::vector<Vec2> pts(static_cast<std::size_t>(n));
+    for (Vec2& p : pts)
+      p = {rng.uniform(fb.x0, fb.x1), rng.uniform(fb.y0, fb.y1)};
+    std::vector<double> readings(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const double want =
+          oracle::blended_field_value(harbor, silted, alpha, pts[i]);
+      if (std::bit_cast<std::uint64_t>(blend.value(pts[i])) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        std::cerr << "[micro_hotpaths] field_sample mismatch at " << i
+                  << "\n";
+        return 1;
+      }
+    }
+    volatile double sink = 0.0;
+    const double reference_ms = best_ms(5, [&] {
+      for (std::size_t i = 0; i < pts.size(); ++i)
+        readings[i] =
+            oracle::blended_field_value(harbor, silted, alpha, pts[i]);
+      sink = readings.back();
+    });
+    const double table_ms = best_ms(5, [&] {
+      for (std::size_t i = 0; i < pts.size(); ++i)
+        readings[i] = blend.value(pts[i]);
+      sink = readings.back();
+    });
+    table.row()
+        .cell("field_sample")
+        .cell(n)
+        .cell(reference_ms, 2)
+        .cell(table_ms, 2)
+        .cell(reference_ms / table_ms, 1);
   }
 
   emit_table("micro_hotpaths", title, table);

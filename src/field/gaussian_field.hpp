@@ -25,6 +25,8 @@ struct GaussianBump {
 /// (smooth closed/open curves of Hausdorff dimension 1), making it a
 /// faithful stand-in for the harbor bathymetry traces. The exact gradient
 /// is available, which the Fig. 7 experiment uses as ground truth.
+/// Each bump's rotation is fixed, so its cos and sin are computed once, at
+/// construction: an evaluation costs one exp per bump.
 class GaussianField final : public ScalarField {
  public:
   GaussianField(FieldBounds bounds, double base, Vec2 trend,
@@ -49,6 +51,13 @@ class GaussianField final : public ScalarField {
   double base_;
   Vec2 trend_;
   std::vector<GaussianBump> bumps_;
+  /// Per bump, parallel to bumps_: (c, s) = cos, sin of -rotation, which
+  /// turn a point into the bump's frame, and (cb, sb) = cos, sin of
+  /// +rotation, which turn the gradient back.
+  struct BumpTrig {
+    double c, s, cb, sb;
+  };
+  std::vector<BumpTrig> trig_;
 };
 
 }  // namespace isomap

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "field/bathymetry.hpp"
+#include "field/blended_field.hpp"
 #include "field/gaussian_field.hpp"
 #include "field/grid_field.hpp"
+#include "oracles/gaussian_field_reference.hpp"
 
 namespace isomap {
 namespace {
@@ -73,6 +77,85 @@ TEST(GaussianField, ValueRangeBracketsSamples) {
     const double v = field.value({rng.uniform(0, 10), rng.uniform(0, 10)});
     EXPECT_GE(v, lo - 0.2);
     EXPECT_LE(v, hi + 0.2);
+  }
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+bool same_bits(Vec2 a, Vec2 b) {
+  return bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y);
+}
+
+/// The bounds' four corners and centre, then `n` seeded uniform points.
+std::vector<Vec2> probe_points(const FieldBounds& b, int n, Rng& rng) {
+  std::vector<Vec2> pts = {{b.x0, b.y0}, {b.x1, b.y0}, {b.x0, b.y1},
+                           {b.x1, b.y1}, b.center()};
+  for (int i = 0; i < n; ++i)
+    pts.push_back({rng.uniform(b.x0, b.x1), rng.uniform(b.y0, b.y1)});
+  return pts;
+}
+
+/// Points where a field's value or gradient differs from the per-call
+/// oracle in any bit.
+int field_mismatches(const GaussianField& field,
+                     const std::vector<Vec2>& pts) {
+  int bad = 0;
+  for (const Vec2 p : pts)
+    if (bits(field.value(p)) != bits(oracle::gaussian_field_value(field, p)) ||
+        !same_bits(field.gradient(p),
+                   oracle::gaussian_field_gradient(field, p)))
+      ++bad;
+  return bad;
+}
+
+TEST(GaussianField, MatchesPerCallOracleBitForBit) {
+  for (const double side : {50.0, 200.0, 1000.0}) {
+    const FieldBounds b{0.0, 0.0, side, side};
+    Rng rng(static_cast<std::uint64_t>(side));
+    const std::vector<Vec2> pts = probe_points(b, 400, rng);
+    const struct {
+      const char* name;
+      GaussianField field;
+    } presets[] = {{"harbor", harbor_bathymetry(b)},
+                   {"silted", silted_harbor_bathymetry(b)},
+                   {"multi-basin", multi_basin_bathymetry(b)},
+                   {"sloped", sloped_seabed_bathymetry(b)}};
+    for (const auto& [name, field] : presets)
+      EXPECT_EQ(field_mismatches(field, pts), 0) << name << ", side " << side;
+    for (int seed = 1; seed <= 8; ++seed) {
+      Rng field_rng(static_cast<std::uint64_t>(seed));
+      const GaussianField field =
+          GaussianField::random(b, 2 * seed, 3.0, field_rng);
+      EXPECT_EQ(field_mismatches(field, pts), 0)
+          << "random seed " << seed << ", side " << side;
+      for (const GaussianBump& bump : field.bumps())
+        for (const Vec2 p : pts) {
+          ASSERT_EQ(bits(bump.value(p)),
+                    bits(oracle::gaussian_bump_value(bump, p)));
+          ASSERT_TRUE(same_bits(bump.gradient(p),
+                                oracle::gaussian_bump_gradient(bump, p)));
+        }
+    }
+  }
+}
+
+TEST(BlendedField, MatchesPerCallOracleBitForBit) {
+  for (const double side : {50.0, 200.0, 1000.0}) {
+    const FieldBounds b{0.0, 0.0, side, side};
+    Rng rng(static_cast<std::uint64_t>(side) + 1);
+    const std::vector<Vec2> pts = probe_points(b, 400, rng);
+    const GaussianField harbor = harbor_bathymetry(b);
+    const GaussianField silted = silted_harbor_bathymetry(b);
+    for (const double alpha : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+      const BlendedField blend(harbor, silted, alpha);
+      int bad = 0;
+      for (const Vec2 p : pts)
+        if (bits(blend.value(p)) !=
+                bits(oracle::blended_field_value(harbor, silted, alpha, p)) ||
+            !same_bits(blend.gradient(p), oracle::blended_field_gradient(
+                                              harbor, silted, alpha, p)))
+          ++bad;
+      EXPECT_EQ(bad, 0) << "alpha " << alpha << ", side " << side;
+    }
   }
 }
 

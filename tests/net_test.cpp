@@ -10,7 +10,9 @@
 #include "net/deployment.hpp"
 #include "net/ledger.hpp"
 #include "net/routing_tree.hpp"
+#include "oracles/k_hop_bfs.hpp"
 #include "oracles/net_oracle.hpp"
+#include "sim/scenario.hpp"
 
 namespace isomap {
 namespace {
@@ -128,6 +130,28 @@ TEST(CommGraph, KHopGrowsMonotonically) {
       EXPECT_NE(std::find(h1.begin(), h1.end(), node), h1.end());
     }
   }
+}
+
+TEST(CommGraph, KHopMatchesAllocatingBfs) {
+  // A harbor scenario with a fifth of the nodes dead: every node, alive
+  // or not, must get the oracle's nodes, hops and order for k = 1..3.
+  ScenarioConfig config;
+  config.num_nodes = 2500;
+  config.field_side = 50.0;
+  config.field = FieldKind::kHarbor;
+  config.failure_fraction = 0.2;
+  config.seed = 11;
+  const Scenario s = make_scenario(config);
+  const CommGraph& graph = s.graph;
+  int dead = 0;
+  for (int i = 0; i < graph.size(); ++i) {
+    if (!graph.alive(i)) ++dead;
+    for (int k = 1; k <= 3; ++k)
+      ASSERT_EQ(graph.k_hop_neighbours_with_distance(i, k),
+                oracle::k_hop_bfs(graph, i, k))
+          << "node " << i << ", k " << k;
+  }
+  EXPECT_GT(dead, 0);
 }
 
 TEST(CommGraph, ConnectivityDetection) {

@@ -1,11 +1,11 @@
 // Vectorization-parity probe: runs every batch kernel that carries a
 // bit-identity contract (fused plane-fit stats, batched point-in-region
-// classification, marching squares) on seeded inputs and prints the raw
-// IEEE-754 bit patterns of the outputs as hex. CI builds this tool twice
-// — once with -ftree-vectorize, once with -fno-tree-vectorize — and
-// diffs the two stdouts: any difference means the "vectorize across
-// independent chains, never reassociate within one" rule was broken by a
-// compiler transform the flags toggle.
+// classification, marching squares, Gaussian field evaluation) on seeded
+// inputs and prints the raw IEEE-754 bit patterns of the outputs as hex.
+// CI builds this tool twice — once with -ftree-vectorize, once with
+// -fno-tree-vectorize — and diffs the two stdouts: any difference means
+// the "vectorize across independent chains, never reassociate within one"
+// rule was broken by a compiler transform the flags toggle.
 //
 // The tool also checks each batch kernel against its scalar oracle (from
 // the test-only isomap_oracles library, tests/oracles/) in-process and exits 1 on any mismatch, so a single build already
@@ -17,10 +17,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "field/bathymetry.hpp"
+#include "field/blended_field.hpp"
 #include "geometry/marching_squares.hpp"
 #include "isomap/regression.hpp"
+#include "oracles/gaussian_field_reference.hpp"
 #include "oracles/marching_squares_reference.hpp"
 #include "oracles/regression_aos.hpp"
 #include "sim/runners.hpp"
@@ -168,6 +172,56 @@ void marching_parity() {
               static_cast<unsigned long long>(fp.h));
 }
 
+/// Prints a digest of `field`'s value and gradient bits at `pts`, each
+/// point checked against `want(p)`, the oracle's {value, gradient}.
+template <typename Want>
+void field_probe(const char* name, const ScalarField& field,
+                 const std::vector<Vec2>& pts, Want want) {
+  Fnv fp;
+  for (const Vec2 p : pts) {
+    const double v = field.value(p);
+    const Vec2 g = field.gradient(p);
+    const auto [want_v, want_g] = want(p);
+    report(name, "value", bits(v) == bits(want_v));
+    report(name, "gradient",
+           bits(g.x) == bits(want_g.x) && bits(g.y) == bits(want_g.y));
+    fp.add(v);
+    fp.add(g.x);
+    fp.add(g.y);
+  }
+  std::printf("%-19s %016llx\n", name, static_cast<unsigned long long>(fp.h));
+}
+
+void field_parity() {
+  // The field's value and gradient bits feed every reading, so every
+  // golden capsule.
+  const FieldBounds fb{0.0, 0.0, 200.0, 200.0};
+  const GaussianField harbor = harbor_bathymetry(fb);
+  const GaussianField silted = silted_harbor_bathymetry(fb);
+  const GaussianField sloped = sloped_seabed_bathymetry(fb);
+  const double alpha = 0.375;
+  const BlendedField blended(harbor, silted, alpha);
+
+  std::uint64_t rng = 0xF1E1DULL;
+  std::vector<Vec2> pts(2048);
+  for (Vec2& p : pts) p = {uniform01(rng) * 200.0, uniform01(rng) * 200.0};
+
+  const auto per_call = [](const GaussianField& f) {
+    return [&f](Vec2 p) {
+      return std::pair{oracle::gaussian_field_value(f, p),
+                       oracle::gaussian_field_gradient(f, p)};
+    };
+  };
+  field_probe("field_harbor", harbor, pts, per_call(harbor));
+  field_probe("field_silted", silted, pts, per_call(silted));
+  field_probe("field_sloped", sloped, pts, per_call(sloped));
+  field_probe("field_blended", blended, pts, [&](Vec2 p) {
+    return std::pair{
+        oracle::blended_field_value(harbor, silted, alpha, p),
+        oracle::blended_field_gradient(harbor, silted, alpha, p)};
+  });
+}
+
 }  // namespace
 }  // namespace isomap
 
@@ -175,7 +229,8 @@ int main() {
   isomap::fit_parity();
   isomap::region_parity();
   isomap::marching_parity();
+  isomap::field_parity();
   if (!isomap::g_ok) return 1;
-  std::printf("kernel_parity: all batch kernels match their oracles\n");
+  std::printf("kernel_parity: all kernels match their oracles\n");
   return 0;
 }
