@@ -5,9 +5,11 @@
 // identity-checked before timing, so a speedup can never come from a
 // behaviour change.
 // Later rows follow the same pattern for the other kernels, down to the
-// field sensing pass (per-call bump rotation vs the precomputed table).
+// field sensing pass (per-call bump rotation vs the precomputed table)
+// and the report convergecast (full post-order walk vs level frontier).
 // Expectation: indexed Voronoi >= 5x at n = 10000; scratch BFS ahead of
-// the allocating baseline at every density; field sensing ~3x.
+// the allocating baseline at every density; field sensing ~3x; the
+// frontier ahead of the walk, more so at the larger n.
 
 #include <bit>
 #include <chrono>
@@ -18,11 +20,13 @@
 #include "field/blended_field.hpp"
 #include "geometry/marching_squares.hpp"
 #include "geometry/voronoi.hpp"
+#include "isomap/convergecast.hpp"
 #include "isomap/node_selection.hpp"
 #include "isomap/regression.hpp"
 #include "net/ledger.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
+#include "oracles/convergecast_post_order.hpp"
 #include "oracles/gaussian_field_reference.hpp"
 #include "oracles/k_hop_bfs.hpp"
 #include "oracles/marching_squares_reference.hpp"
@@ -114,7 +118,8 @@ int main() {
   const std::string title =
       banner("Micro", "hot-path kernels, baseline vs optimised",
              "indexed Voronoi >= 5x at n = 10000; scratch BFS beats "
-             "per-call allocation at every size; field sensing ~3x");
+             "per-call allocation at every size; field sensing ~3x; "
+             "convergecast frontier ahead of the post-order walk");
 
   Table table({"kernel", "n", "baseline_ms", "optimized_ms", "speedup"});
 
@@ -558,6 +563,67 @@ int main() {
         .cell(reference_ms, 2)
         .cell(table_ms, 2)
         .cell(reference_ms / table_ms, 1);
+  }
+
+  // Report convergecast: one filtered round's reports — one per
+  // Definition 3.1 selection entry, carrying the field's descent
+  // direction — routed over the static tree. The oracle walks all of
+  // post_order() over one buffer per node; the production convergecast
+  // visits only the nodes on report paths. Identity-checked on the sink
+  // reports, the counters and every node's ledger before timing.
+  for (const int n : {40000, 250000}) {
+    const Scenario s = harbor_scenario(n, kBenchSeed);
+    const ContourQuery query = default_query(s.field, 8);
+    std::vector<IsolineReport> reports;
+    for (const SelectionEntry& e :
+         select_isoline_nodes(s.graph, s.readings, query)) {
+      const Vec2 pos = s.deployment.node(e.node).reported_pos();
+      IsolineReport r{e.isolevel, pos, -s.field.gradient(pos), e.node};
+      r.id = static_cast<long long>(reports.size());
+      if (s.tree.reachable(e.node)) reports.push_back(r);
+    }
+    const InNetworkFilter filter = InNetworkFilter::from_query(query);
+    const ConvergecastOptions options{.filter = &filter};
+    Channel channel;
+    Ledger want_ledger(n), got_ledger(n);
+    const ConvergecastResult want = oracle::convergecast_post_order(
+        reports, s.tree, channel, want_ledger, options);
+    const ConvergecastResult got =
+        convergecast(reports, s.tree, channel, got_ledger, options);
+    bool same = got.sink_reports.size() == want.sink_reports.size() &&
+                got.filtered == want.filtered &&
+                std::bit_cast<std::uint64_t>(got.report_bytes) ==
+                    std::bit_cast<std::uint64_t>(want.report_bytes) &&
+                std::bit_cast<std::uint64_t>(got.bottleneck_bytes) ==
+                    std::bit_cast<std::uint64_t>(want.bottleneck_bytes);
+    for (std::size_t i = 0; same && i < got.sink_reports.size(); ++i)
+      same = got.sink_reports[i].id == want.sink_reports[i].id &&
+             got.sink_reports[i].hops == want.sink_reports[i].hops;
+    for (int v = 0; same && v < n; ++v)
+      same = got_ledger.tx_bytes(v) == want_ledger.tx_bytes(v) &&
+             got_ledger.rx_bytes(v) == want_ledger.rx_bytes(v) &&
+             got_ledger.ops(v) == want_ledger.ops(v);
+    if (!same) {
+      std::cerr << "[micro_hotpaths] convergecast mismatch at n = " << n
+                << "\n";
+      return 1;
+    }
+    volatile std::size_t sink = 0;
+    const double walk_ms = best_ms(5, [&] {
+      sink = oracle::convergecast_post_order(reports, s.tree, channel,
+                                             want_ledger, options)
+                 .sink_reports.size();
+    });
+    const double frontier_ms = best_ms(5, [&] {
+      sink = convergecast(reports, s.tree, channel, got_ledger, options)
+                 .sink_reports.size();
+    });
+    table.row()
+        .cell("convergecast")
+        .cell(n)
+        .cell(walk_ms, 2)
+        .cell(frontier_ms, 2)
+        .cell(walk_ms / frontier_ms, 1);
   }
 
   emit_table("micro_hotpaths", title, table);

@@ -1,11 +1,12 @@
 #include "isomap/protocol.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "exec/exec.hpp"
+#include "isomap/convergecast.hpp"
 #include "isomap/regression.hpp"
-#include "isomap/round_arena.hpp"
 #include "net/channel.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
@@ -14,7 +15,15 @@
 namespace isomap {
 
 IsoMapProtocol::IsoMapProtocol(IsoMapOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  // Reject bad options here, before a run has charged anything.
+  if (!std::isfinite(options_.header_bytes) || options_.header_bytes < 0.0)
+    throw std::invalid_argument(
+        "IsoMapProtocol: header_bytes must be finite and >= 0");
+  (void)Channel::make(options_.link_loss, options_.link_retries,
+                      options_.link_seed, options_.link_burst,
+                      options_.link_impair, options_.link_arq);
+}
 
 IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
                                  const Deployment& deployment,
@@ -52,19 +61,13 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
 
   // --- Step 2: local measurement and report generation (Section 3.3). ---
   // Each distinct isoline node performs one neighbourhood exchange and one
-  // regression, shared across all isolevels it matched. Per-node state is
-  // kept in flat node-indexed tables (no tree maps): selection emits
-  // entries grouped by node, so first-appearance dedup via a flag array
-  // yields the same distinct-node order the old std::map walk produced.
-  std::vector<Vec2> descent(static_cast<std::size_t>(n));
-  std::vector<unsigned char> is_isoline(static_cast<std::size_t>(n), 0);
+  // regression, shared across all isolevels it matched. Selection emits
+  // its entries in ascending node order, so a node's entries are adjacent
+  // and comparing with the previous entry yields the distinct nodes.
   std::vector<int> distinct_nodes;
-  for (const auto& entry : selected) {
-    auto& flag = is_isoline[static_cast<std::size_t>(entry.node)];
-    if (flag) continue;
-    flag = 1;
-    distinct_nodes.push_back(entry.node);
-  }
+  for (const auto& entry : selected)
+    if (distinct_nodes.empty() || distinct_nodes.back() != entry.node)
+      distinct_nodes.push_back(entry.node);
 
   obs::count("select.entries", static_cast<double>(selected.size()));
   obs::count("select.distinct_nodes",
@@ -72,7 +75,6 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
 
   obs::PhaseTimer fit_timer(obs::kPhaseGradientFit);
   double measurement_bytes = 0.0;
-  std::vector<bool> has_gradient(static_cast<std::size_t>(n), false);
   // Tile-parallel gradient fits. Workers fill one slot per distinct node
   // — the k-hop scope (thread-safe: epoch-stamped thread_local scratch in
   // CommGraph), the sample count and the pure SoA fit — touching nothing
@@ -80,7 +82,8 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
   // trace events, the regression metrics, the output tables) happens in
   // the serial merge below, walking slots in distinct-node order, which
   // is exactly the sequence the serial loop emitted: charges first, then
-  // fit metrics, then the unconditional compute charge.
+  // fit metrics, then the unconditional compute charge. The slots then
+  // hold each node's descent direction for report generation.
   struct FitSlot {
     std::vector<std::pair<int, int>> scope;  ///< (neighbour, hop distance).
     Vec2 descent{};
@@ -151,293 +154,101 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
     record_fit_metrics(slot.samples);
     if (!slot.has_fit) record_degenerate_fit();
     ledger.compute(node, slot.has_fit ? fit_plane_ops(slot.samples) : 0.0);
-    if (slot.has_fit) {
-      descent[static_cast<std::size_t>(node)] = slot.descent;
-      has_gradient[static_cast<std::size_t>(node)] = true;
-    }
   }
   fit_timer.stop();
 
   // --- Step 3: convergecast with in-network filtering (Section 3.5). ---
   obs::PhaseTimer route_timer(obs::kPhaseReportRoute);
-  // Flight-recorder context, resolved once per run: the per-node telemetry
-  // table gets report counters and hop distances, the trace sink gets one
-  // "span" event per report hop (keyed by the report's causal id) so the
-  // full source->relays->sink path reconstructs from the JSONL trace.
   obs::NodeTelemetry* const tel = obs::telemetry();
   obs::TraceSink* const span_sink = obs::trace();
-  // Per-node convergecast buffers live in a per-round arena: the outer
-  // table is one flat vector, and every inner report vector bump-allocates
-  // from the arena instead of hitting the heap once per node.
-  RoundArena arena;
-  using ReportVec = std::vector<IsolineReport, ArenaAlloc<IsolineReport>>;
-  std::vector<ReportVec> buffer(static_cast<std::size_t>(n),
-                                ReportVec(ArenaAlloc<IsolineReport>(arena)));
-  int generated = 0;
+  // Reports leave their sources in selection order, each tagged with a
+  // causal id and traced as hop 0 of its span.
+  std::vector<IsolineReport> reports;
+  std::size_t fit_index = 0;
   for (const auto& entry : selected) {
-    if (!has_gradient[static_cast<std::size_t>(entry.node)]) continue;
-    if (!tree.reachable(entry.node)) continue;
-    auto& slot = buffer[static_cast<std::size_t>(entry.node)];
-    slot.push_back({entry.isolevel, deployment.node(entry.node).reported_pos(),
-                    descent[static_cast<std::size_t>(entry.node)], entry.node});
-    slot.back().id = generated;
+    if (distinct_nodes[fit_index] != entry.node) ++fit_index;
+    const FitSlot& fit = slots[fit_index];
+    if (!fit.has_fit || !tree.reachable(entry.node)) continue;
+    const int id = static_cast<int>(reports.size());
+    IsolineReport& r = reports.emplace_back(IsolineReport{
+        entry.isolevel, deployment.node(entry.node).reported_pos(),
+        fit.descent, entry.node});
+    r.id = id;
     if (tel != nullptr) tel->count_generated(entry.node);
     if (span_sink != nullptr) {
       obs::TraceEvent event;
       event.kind = "span";
       event.phase = obs::current_phase();
       event.node = entry.node;
-      event.report = generated;
+      event.report = id;
       event.hop = 0;
       event.isolevel = entry.isolevel;
       span_sink->emit(event);
     }
-    ++generated;
   }
+  const int generated = static_cast<int>(reports.size());
 
   const InNetworkFilter filter = InNetworkFilter::from_query(query);
   Channel channel =
       Channel::make(options_.link_loss, options_.link_retries,
                     options_.link_seed, options_.link_burst,
                     options_.link_impair, options_.link_arq);
-  // With the impairment pipeline active, accumulate each report's summed
-  // per-hop ARQ completion time (indexed by the report's causal id) so
-  // end-to-end latency is measured, not synthetic.
-  const bool impaired = channel.impaired();
-  std::vector<double> latency_by_id;
-  if (impaired)
-    latency_by_id.assign(static_cast<std::size_t>(generated), 0.0);
-
-  // Mid-run fault machinery. With faults active the convergecast works on
-  // a private copy of the routing tree so the repair can rewire it; the
-  // injector advances along convergecast progress and kills nodes on
-  // schedule. With no faults the injector is empty and the loop below
-  // reduces to the classic single leaves-first pass over the static tree.
-  FaultInjector injector(options_.fault.active()
-                             ? make_fault_plan(options_.fault, deployment,
-                                               tree.sink())
-                             : FaultPlan(),
-                         deployment, tree.sink());
-  const bool faults = !injector.plan_empty();
-  std::optional<RoutingTree> healed;
-  if (faults) healed.emplace(tree);
-  const RoutingTree& route = faults ? *healed : tree;
-
-  // Seed the telemetry hop map from the convergecast tree; repair() will
-  // refresh it whenever the tree rewires mid-run.
-  if (tel != nullptr)
-    for (int v = 0; v < n; ++v) tel->set_hops(v, route.level(v));
-
-  // One "loss" trace event per dead report. Channel losses name the next
-  // hop in `peer`; crash losses leave it -1 (the report died in place).
-  const auto emit_loss = [&](const IsolineReport& r, int at, int next_hop) {
-    if (span_sink == nullptr) return;
-    obs::TraceEvent event;
-    event.kind = "loss";
-    event.phase = obs::current_phase();
-    event.node = at;
-    event.peer = next_hop;
-    event.report = r.id;
-    event.hop = r.hops;
-    event.isolevel = r.isolevel;
-    span_sink->emit(event);
-  };
-
-  int lost_crash = 0;
-  int lost_channel = 0;
-  int filtered = 0;
-  int repairs = 0;
-  double repair_bytes = 0.0;
-
-  // Fire every fault event due at `progress`: reports buffered at a dying
-  // node die with it, then (when self-healing) the tree repairs itself —
-  // orphans beacon and re-attach, charged to the ledger under their own
-  // phase so repair energy is separable from report routing.
-  // Returns how many orphans the repair re-attached so the convergecast
-  // loop can schedule another epoch for their stranded reports even when
-  // nothing else moved this epoch.
-  const auto apply_faults = [&](double progress) -> int {
-    if (!faults) return 0;
-    const std::vector<int> died = injector.advance(progress);
-    if (died.empty()) return 0;
-    for (int c : died) {
-      auto& stranded = buffer[static_cast<std::size_t>(c)];
-      for (const auto& r : stranded) {
-        if (tel != nullptr) tel->count_lost_crash(r.source);
-        emit_loss(r, c, -1);
-      }
-      lost_crash += static_cast<int>(stranded.size());
-      stranded.clear();
-    }
-    if (!options_.fault.self_healing) return 0;
-    const obs::PhaseTimer repair_timer(obs::kPhaseRepair);
-    const RoutingTree::RepairReport rep =
-        healed->repair(graph, injector.alive_mask(), &ledger);
-    repairs += rep.reattached;
-    repair_bytes += rep.bytes;
-    return rep.reattached;
-  };
-
-  double report_bytes = 0.0;
-  TransmissionLog transmission_log;
-  std::vector<double> level_bottleneck(
-      static_cast<std::size_t>(route.depth()) + 1, 0.0);
-
-  // Convergecast epochs. One leaves-first pass delivers everything on a
-  // static tree; after a repair, reports re-routed through an
-  // already-visited node wait for the next epoch (their new ancestors'
-  // TDMA slots have passed), so epochs repeat until no report moves.
-  // Every parent is strictly one level below its child — in the repaired
-  // tree too — so each epoch moves every surviving report at least one
-  // level down and the loop terminates within `depth` epochs.
-  const double total_units =
-      static_cast<double>(std::max(1, route.reachable_count() - 1));
-  double units_done = 0.0;
-  bool moved = true;
-  int epochs = 0;
-  while (moved && epochs <= n) {
-    moved = false;
-    ++epochs;
-    const std::vector<int> order = route.post_order();  // Copy: repair
-                                                        // rewrites it.
-    for (int u : order) {
-      if (u == route.sink()) continue;
-      if (faults) {
-        // A repair may re-attach orphans holding reports; give them an
-        // epoch even if no other buffer moves in this one.
-        if (apply_faults(std::min(1.0, units_done / total_units)) > 0)
-          moved = true;
-        units_done += 1.0;
-        if (!injector.alive(u)) continue;  // Died; buffer already lost.
-      }
-      auto& outgoing = buffer[static_cast<std::size_t>(u)];
-      if (outgoing.empty()) continue;
-      if (!route.reachable(u)) continue;  // Orphan: swept after the loop.
-      const int p = route.parent(u);
-      if (faults && !injector.alive(p)) {
-        // Dead next-hop and no repair (self-healing off): the node keeps
-        // retrying into silence and the whole batch is stranded.
-        for (const auto& r : outgoing) {
-          if (tel != nullptr) tel->count_lost_crash(r.source);
-          emit_loss(r, u, -1);
-        }
-        lost_crash += static_cast<int>(outgoing.size());
-        outgoing.clear();
-        moved = true;
-        continue;
-      }
-      const double bytes = static_cast<double>(outgoing.size()) *
-                               IsolineReport::kWireBytes +
-                           options_.header_bytes;
-      const auto lvl = static_cast<std::size_t>(route.level(u));
-      if (lvl >= level_bottleneck.size()) level_bottleneck.resize(lvl + 1, 0.0);
-      level_bottleneck[lvl] = std::max(level_bottleneck[lvl], bytes);
-      const Channel::Transfer transfer = channel.transfer(u, p, bytes, ledger);
-      report_bytes += bytes;
-      if (options_.record_transmissions)
-        transmission_log.push_back({u, p, bytes, route.level(u)});
-      if (transfer.delivered) {
-        // Advance each report one hop before handing the batch on, so the
-        // copies the filter keeps in the parent's inbox already carry the
-        // incremented hop count. Relay credit goes to the forwarding node
-        // (not the source re-sending its own report at hop 1).
-        for (auto& r : outgoing) {
-          ++r.hops;
-          if (impaired)
-            latency_by_id[static_cast<std::size_t>(r.id)] +=
-                transfer.latency_s;
-          if (tel != nullptr && r.source != u) tel->count_relayed(u);
-          if (span_sink != nullptr) {
-            obs::TraceEvent event;
-            event.kind = "span";
-            event.phase = obs::current_phase();
-            event.node = u;
-            event.peer = p;
-            event.report = r.id;
-            event.hop = r.hops;
-            event.isolevel = r.isolevel;
-            event.latency_s = impaired ? transfer.latency_s : -1.0;
-            span_sink->emit(event);
-          }
-        }
-        auto& inbox = buffer[static_cast<std::size_t>(p)];
-        if (query.enable_filtering) {
-          // The per-hop filter work is its own phase nested inside the
-          // convergecast: its compute charges (and per-report drop events)
-          // are attributed to filtering, not routing.
-          const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
-          const std::size_t kept_before = inbox.size();
-          double ops = 0.0;
-          filter.merge(inbox, outgoing, &ops, p);
-          ledger.compute(p, ops);
-          filtered += static_cast<int>(outgoing.size() -
-                                       (inbox.size() - kept_before));
-        } else {
-          inbox.insert(inbox.end(), outgoing.begin(), outgoing.end());
-        }
-      } else {
-        for (const auto& r : outgoing) {
-          if (tel != nullptr) tel->count_lost_channel(r.source);
-          emit_loss(r, u, p);
-        }
-        lost_channel += static_cast<int>(outgoing.size());
-      }
-      outgoing.clear();
-      moved = true;
-    }
-  }
-  // Fire any faults scheduled after the last report hop, then account
-  // every report still stuck at a non-sink node (orphans the repair could
-  // not re-attach): nothing is dropped silently.
-  apply_faults(1.0);
-  for (int v = 0; v < n; ++v) {
-    if (v == route.sink()) continue;
-    auto& stuck = buffer[static_cast<std::size_t>(v)];
-    for (const auto& r : stuck) {
-      if (tel != nullptr) tel->count_lost_crash(r.source);
-      emit_loss(r, v, -1);
-    }
-    lost_crash += static_cast<int>(stuck.size());
-    stuck.clear();
-  }
+  // With a fault plan the injector advances along convergecast progress
+  // and kills nodes on schedule; without one the convergecast visits only
+  // the nodes on report paths.
+  std::optional<FaultInjector> injector;
+  if (options_.fault.active())
+    injector.emplace(make_fault_plan(options_.fault, deployment, tree.sink()),
+                     deployment, tree.sink());
+  std::optional<ConvergecastFaults> faults;
+  if (injector && !injector->plan_empty())
+    faults.emplace(*injector, graph, options_.fault.self_healing);
+  const ConvergecastOptions route_options{
+      .filter = query.enable_filtering ? &filter : nullptr,
+      .header_bytes = options_.header_bytes,
+      .record_transmissions = options_.record_transmissions};
+  ConvergecastResult routed =
+      convergecast(reports, tree, channel, ledger, route_options,
+                   faults ? &*faults : nullptr);
   route_timer.stop();
   obs::count("reports.generated", generated);
-  if (filtered > 0) obs::count("reports.filtered", filtered);
-  if (lost_channel > 0) obs::count("reports.lost_channel", lost_channel);
-  if (lost_crash > 0) obs::count("reports.lost_crash", lost_crash);
-  if (repairs > 0) obs::count("route.repairs", repairs);
-  if (repair_bytes > 0.0) obs::count("route.repair_bytes", repair_bytes);
+  if (routed.filtered > 0) obs::count("reports.filtered", routed.filtered);
+  if (routed.lost_channel > 0)
+    obs::count("reports.lost_channel", routed.lost_channel);
+  if (routed.lost_crash > 0)
+    obs::count("reports.lost_crash", routed.lost_crash);
+  if (routed.repairs > 0) obs::count("route.repairs", routed.repairs);
+  if (routed.repair_bytes > 0.0)
+    obs::count("route.repair_bytes", routed.repair_bytes);
 
-  // Copy the sink's slot out of the arena (O(sqrt(n) * levels) reports)
-  // before the arena dies with this scope.
-  const ReportVec& sink_slot = buffer[static_cast<std::size_t>(route.sink())];
-  std::vector<IsolineReport> sink_reports(sink_slot.begin(), sink_slot.end());
   if (tel != nullptr)
-    for (const auto& r : sink_reports) tel->count_delivered(r.source);
-  obs::count("reports.delivered", static_cast<double>(sink_reports.size()));
+    for (const auto& r : routed.sink_reports) tel->count_delivered(r.source);
+  obs::count("reports.delivered",
+             static_cast<double>(routed.sink_reports.size()));
   ContourMap map = ContourMapBuilder(deployment.bounds(), options_.regulation)
-                       .build(sink_reports, query.isolevels());
-  IsoMapResult result{.sink_reports = std::move(sink_reports),
+                       .build(routed.sink_reports, query.isolevels());
+  IsoMapResult result{.sink_reports = std::move(routed.sink_reports),
                       .map = std::move(map),
-                      .transmissions = std::move(transmission_log)};
+                      .transmissions = std::move(routed.transmissions)};
   result.isoline_node_count = static_cast<int>(distinct_nodes.size());
   result.generated_reports = generated;
   result.delivered_reports = static_cast<int>(result.sink_reports.size());
-  result.filtered_reports = filtered;
-  result.lost_channel_reports = lost_channel;
-  result.lost_crash_reports = lost_crash;
-  result.crashed_nodes = injector.crash_count();
-  result.route_repairs = repairs;
-  result.repair_traffic_bytes = repair_bytes;
-  result.report_traffic_bytes = report_bytes;
+  result.filtered_reports = routed.filtered;
+  result.lost_channel_reports = routed.lost_channel;
+  result.lost_crash_reports = routed.lost_crash;
+  result.crashed_nodes = injector ? injector->crash_count() : 0;
+  result.route_repairs = routed.repairs;
+  result.repair_traffic_bytes = routed.repair_bytes;
+  result.report_traffic_bytes = routed.report_bytes;
   result.measurement_traffic_bytes = measurement_bytes;
   result.dissemination_traffic_bytes = dissemination_bytes;
-  for (double slot : level_bottleneck) result.bottleneck_bytes += slot;
-  if (impaired && !result.sink_reports.empty()) {
+  result.bottleneck_bytes = routed.bottleneck_bytes;
+  if (channel.impaired() && !result.sink_reports.empty()) {
     double first = 0.0, last = 0.0, sum = 0.0;
     bool any = false;
     for (const auto& r : result.sink_reports) {
-      const double lat = latency_by_id[static_cast<std::size_t>(r.id)];
+      const double lat =
+          routed.latency_by_id[static_cast<std::size_t>(r.id)];
       if (!any) {
         first = last = lat;
         any = true;

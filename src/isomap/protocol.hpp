@@ -35,12 +35,14 @@ struct IsoMapOptions {
   bool account_query_dissemination = false;
 
   /// Per-message header bytes added to each report batch transmission.
-  /// The paper charges parameter bytes only, so the default is 0.
+  /// The paper charges parameter bytes only, so the default is 0. Must
+  /// be finite and >= 0.
   double header_bytes = 0.0;
 
   /// Link layer for the report convergecast. The paper assumes perfect
   /// links (loss 0); setting link_loss > 0 enables the ARQ channel model
   /// of net/channel.hpp — a dropped batch loses all reports it carried.
+  /// link_loss must lie in [0, 1) and link_retries be >= 0 in every mode.
   double link_loss = 0.0;
   int link_retries = 3;
   std::uint64_t link_seed = 0xC0FFEEULL;
@@ -140,6 +142,8 @@ struct IsoMapResult {
 /// sink's map construction is not charged (the sink is a powered host).
 class IsoMapProtocol {
  public:
+  /// Throws std::invalid_argument on options no run could use (a bad
+  /// header_bytes or link option), before anything is charged.
   explicit IsoMapProtocol(IsoMapOptions options);
 
   const IsoMapOptions& options() const { return options_; }

@@ -7,11 +7,12 @@
 namespace isomap {
 
 /// Monotonic bump allocator scoped to one protocol round. The convergecast
-/// buffers one report vector per node; with per-node heap vectors a 10^6-node
-/// round pays a million small allocations (and their 16-byte headers) just to
-/// hold a few thousand reports. The arena hands out memory from large blocks
-/// with a pointer bump, never frees individual allocations, and releases
-/// everything at once when destroyed (or rewound with reset() between rounds).
+/// (isomap/convergecast.cpp) keeps one report vector for each node on a
+/// report path, thousands of small vectors at 10^6 nodes; the arena backs
+/// them all so none costs a heap allocation. It hands out memory from large
+/// blocks with a pointer bump, never frees individual allocations, and
+/// releases everything at once when destroyed (or rewound with reset()
+/// between rounds).
 ///
 /// Not thread-safe: one arena belongs to one round on one thread, which is
 /// exactly how the protocol runs (trials parallelize *across* rounds).

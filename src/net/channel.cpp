@@ -14,7 +14,7 @@ Channel::Channel(double loss_probability, int max_retries, Rng rng)
     : loss_probability_(loss_probability),
       max_retries_(max_retries),
       rng_(rng) {
-  if (loss_probability < 0.0 || loss_probability >= 1.0)
+  if (!(loss_probability >= 0.0 && loss_probability < 1.0))
     throw std::invalid_argument("Channel: loss_probability must be in [0,1)");
   if (max_retries < 0)
     throw std::invalid_argument("Channel: max_retries must be >= 0");
@@ -36,6 +36,12 @@ Channel::Channel(const GilbertElliottParams& params, int max_retries, Rng rng)
 
 Channel Channel::make(double loss, int max_retries, std::uint64_t seed,
                       const std::optional<GilbertElliottParams>& burst) {
+  // Checked in every mode: a perfect or bursty channel ignores `loss`,
+  // but a NaN or out-of-range value is still a caller error.
+  if (!(loss >= 0.0 && loss < 1.0))
+    throw std::invalid_argument("Channel: loss must be finite and in [0,1)");
+  if (max_retries < 0)
+    throw std::invalid_argument("Channel: max_retries must be >= 0");
   if (burst) return Channel(*burst, max_retries, Rng(seed));
   if (loss > 0.0) return Channel(loss, max_retries, Rng(seed));
   return Channel();

@@ -66,6 +66,8 @@ class Channel {
   /// Build whichever channel the flattened option fields describe: bursty
   /// when `burst` is set, i.i.d. when loss > 0, perfect otherwise. The
   /// one construction path every protocol option struct funnels through.
+  /// In every mode `loss` must lie in [0, 1) (NaN is rejected) and
+  /// `max_retries` must be >= 0, else std::invalid_argument.
   static Channel make(double loss, int max_retries, std::uint64_t seed,
                       const std::optional<GilbertElliottParams>& burst);
 

@@ -25,6 +25,9 @@ class RoutingTree {
 
   int sink() const { return sink_; }
 
+  /// Node count of the graph the tree spans (reachable or not).
+  int size() const { return static_cast<int>(level_.size()); }
+
   /// Parent id, or -1 for the sink and for unreachable/dead nodes.
   int parent(int i) const { return parent_[static_cast<std::size_t>(i)]; }
 

@@ -81,6 +81,12 @@ inline bool valid_query(const ContourQuery& q) {
 }
 inline bool unit_interval(const double& v) { return v >= 0.0 && v <= 1.0; }
 inline bool non_negative(const double& v) { return v >= 0.0; }
+inline bool finite_non_negative(const double& v) {
+  return std::isfinite(v) && v >= 0.0;
+}
+/// Channel::make's rules: a link loss in [0, 1), retries >= 0.
+inline bool link_loss_rule(const double& v) { return v >= 0.0 && v < 1.0; }
+inline bool non_negative_count(const int& v) { return v >= 0; }
 
 /// Primary: no table (a wire primitive or a container).
 template <class T>
@@ -153,9 +159,9 @@ inline constexpr auto kFields<IsoMapOptions> = [] {
       field("regulation", &S::regulation),
       field("account_local_measurement", &S::account_local_measurement),
       field("account_query_dissemination", &S::account_query_dissemination),
-      field("header_bytes", &S::header_bytes),
-      field("link_loss", &S::link_loss),
-      field("link_retries", &S::link_retries),
+      field("header_bytes", &S::header_bytes, finite_non_negative),
+      field("link_loss", &S::link_loss, link_loss_rule),
+      field("link_retries", &S::link_retries, non_negative_count),
       field("link_seed", &S::link_seed), field("link_burst", &S::link_burst),
       field("fault", &S::fault),
       field("record_transmissions", &S::record_transmissions),

@@ -507,6 +507,35 @@ TEST(CapsuleDecode, RejectsNonFiniteOrNonPositiveRadioRange) {
   }
 }
 
+TEST(CapsuleDecode, RejectsBadHeaderBytesAndLinkOptions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* name : {"single_small", "continuous_drift"}) {
+    SCOPED_TRACE(name);
+    const RunCapsule golden = load(kGoldenDir + "/" + name + ".capsule");
+    for (const double bytes : {nan, inf, -5.0}) {
+      RunCapsule run = golden;
+      run.options.header_bytes = bytes;
+      EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+          << "header_bytes " << bytes;
+    }
+    for (const double loss : {nan, inf, -0.5, 1.0}) {
+      RunCapsule run = golden;
+      run.options.link_loss = loss;
+      EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+          << "link_loss " << loss;
+    }
+    RunCapsule run = golden;
+    run.options.link_retries = -4;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
+    // The boundary values still decode.
+    run = golden;
+    run.options.header_bytes = 0.0;
+    run.options.link_retries = 0;
+    EXPECT_NO_THROW((void)from_capsule(to_capsule(run)));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz-ish decoder robustness. Run under ASan/UBSan in CI.
 

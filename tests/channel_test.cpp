@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -175,6 +176,33 @@ TEST(Channel, MakeSelectsIidOrBurstMode) {
   EXPECT_TRUE(ge.bursty());  // The burst spec wins over the scalar loss.
   const Channel perfect = Channel::make(0.0, 3, 42, std::nullopt);
   EXPECT_TRUE(perfect.perfect());
+}
+
+TEST(Channel, MakeValidatesLinkOptionsInEveryMode) {
+  // The perfect and bursty channels ignore the scalar loss, but a bad
+  // value is still rejected rather than silently accepted.
+  const std::optional<GilbertElliottParams> burst =
+      GilbertElliottParams{0.02, 0.25, 0.0, 0.8};
+  const ImpairmentConfig impair;
+  for (const auto& mode :
+       {std::optional<GilbertElliottParams>{}, burst}) {
+    for (const double loss :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), -0.5, 1.0, 1.5}) {
+      EXPECT_THROW(Channel::make(loss, 3, 1, mode), std::invalid_argument)
+          << "loss " << loss;
+      EXPECT_THROW(Channel::make(loss, 3, 1, mode, impair),
+                   std::invalid_argument)
+          << "impaired, loss " << loss;
+    }
+    EXPECT_THROW(Channel::make(0.0, -4, 1, mode), std::invalid_argument);
+    EXPECT_THROW(Channel::make(0.2, -1, 1, mode), std::invalid_argument);
+    EXPECT_THROW(Channel::make(0.0, -4, 1, mode, impair),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(Channel::make(0.0, 0, 1, mode));
+  }
+  EXPECT_THROW(Channel(std::numeric_limits<double>::quiet_NaN(), 3, Rng(1)),
+               std::invalid_argument);
 }
 
 TEST(Channel, RetryAndDropCountersReachTheRegistry) {

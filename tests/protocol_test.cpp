@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "eval/metrics.hpp"
 #include "sim/runners.hpp"
@@ -26,6 +28,25 @@ TEST(IsoMapProtocol, EndToEndProducesAccurateMap) {
   const double accuracy =
       mapping_accuracy(run.result.map, s.field, query.isolevels(), 80);
   EXPECT_GT(accuracy, 0.85);
+}
+
+TEST(IsoMapProtocol, RejectsBadHeaderBytesAndLinkOptionsUpFront) {
+  IsoMapOptions options;
+  for (const double bytes : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -5.0}) {
+    IsoMapOptions bad = options;
+    bad.header_bytes = bytes;
+    EXPECT_THROW(IsoMapProtocol{bad}, std::invalid_argument)
+        << "header_bytes " << bytes;
+  }
+  IsoMapOptions bad_loss = options;
+  bad_loss.link_loss = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(IsoMapProtocol{bad_loss}, std::invalid_argument);
+  IsoMapOptions bad_retries = options;
+  bad_retries.link_retries = -4;
+  EXPECT_THROW(IsoMapProtocol{bad_retries}, std::invalid_argument);
+  options.header_bytes = 4.0;
+  EXPECT_NO_THROW(IsoMapProtocol{options});
 }
 
 TEST(IsoMapProtocol, ReportCountIsFarBelowNodeCount) {
