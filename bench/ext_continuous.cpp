@@ -110,11 +110,8 @@ int main(int argc, char** argv) {
     // Snapshot comparator: full one-shot protocol on the same field state.
     Ledger snap_ledger(s.deployment.size());
     IsoMapProtocol snapshot(options.base);
-    std::vector<double> readings(
-        static_cast<std::size_t>(s.deployment.size()), 0.0);
-    for (const auto& node : s.deployment.nodes())
-      if (node.alive)
-        readings[static_cast<std::size_t>(node.id)] = field.value(node.pos);
+    std::vector<double> readings;
+    s.deployment.sense(field, readings);
     const IsoMapResult snap =
         snapshot.run(readings, s.deployment, s.graph, s.tree, snap_ledger);
     const double snap_acc =

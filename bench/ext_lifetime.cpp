@@ -50,11 +50,8 @@ LifetimeOutcome run_lifetime(const std::string& protocol, double battery_mj,
     if (sink < 0) break;
     RoutingTree tree(graph, sink);
 
-    std::vector<double> readings(static_cast<std::size_t>(n), 0.0);
-    for (const auto& node : s.deployment.nodes())
-      if (node.alive)
-        readings[static_cast<std::size_t>(node.id)] =
-            s.field.value(node.pos);
+    std::vector<double> readings;
+    s.deployment.sense(s.field, readings);
 
     Ledger ledger(n);
     double accuracy = 0.0;

@@ -54,7 +54,7 @@ int main() {
         vs.clear();
         add_sample(entry.node);
         for (int nb : s.graph.neighbours(entry.node)) add_sample(nb);
-        const auto fit = fit_plane(xs, ys, vs);
+        const auto fit = fit_plane_soa(xs, ys, vs);
         if (!fit) continue;
         if (s.field.gradient(node.pos).norm() < 0.02) continue;
         const double e =

@@ -233,7 +233,7 @@ int main() {
         .cell(full_ms / banded_ms, 1);
   }
 
-  // Regression refresh: full fit_plane per round vs the continuous
+  // Regression refresh: full fit_plane_soa per round vs the continuous
   // engine's split — position sufficient statistics computed once, only
   // the value block and the 3x3 solve redone when readings change.
   // Identity-checked bit for bit on the fitted plane.
@@ -250,7 +250,8 @@ int main() {
                                                          pos_stats[i]));
     };
     for (std::size_t i = 0; i < nh.size(); ++i) {
-      if (!same_fit(fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]), refresh(i))) {
+      if (!same_fit(fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]),
+                    refresh(i))) {
         std::cerr << "[micro_hotpaths] regression split mismatch\n";
         return 1;
       }
@@ -259,7 +260,7 @@ int main() {
     const double full_ms = best_ms(5, [&] {
       double total = 0.0;
       for (std::size_t i = 0; i < nh.size(); ++i)
-        if (const auto fit = fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))
+        if (const auto fit = fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))
           total += fit->c1;
       sink = total;
     });
@@ -278,10 +279,11 @@ int main() {
   }
 
   // SoA regression: the AoS oracle fit_plane walks FieldSample structs
-  // (24-byte stride per coordinate); the production fit_plane streams flat
-  // coordinate and value arrays. Each of the independent accumulator
-  // chains adds the same addends in the same order, so the fitted plane is
-  // bit-identical — checked on every neighbourhood before timing.
+  // (24-byte stride per coordinate); the production fit_plane_soa
+  // streams flat coordinate and value arrays. Each of the independent
+  // accumulator chains adds the same addends in the same order, so the
+  // fitted plane is bit-identical — checked on every neighbourhood before
+  // timing.
   for (const int n : {400, 2500, 10000}) {
     const Neighbourhoods nh =
         gather_neighbourhoods(harbor_scenario(n, kBenchSeed));
@@ -291,7 +293,7 @@ int main() {
         aos[i].push_back({{nh.xs[i][k], nh.ys[i][k]}, nh.vs[i][k]});
     for (std::size_t i = 0; i < aos.size(); ++i) {
       if (!same_fit(oracle::fit_plane(aos[i]),
-                    fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))) {
+                    fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))) {
         std::cerr << "[micro_hotpaths] AoS/SoA fit mismatch\n";
         return 1;
       }
@@ -306,7 +308,7 @@ int main() {
     const double soa_ms = best_ms(5, [&] {
       double total = 0.0;
       for (std::size_t i = 0; i < nh.size(); ++i)
-        if (const auto fit = fit_plane(nh.xs[i], nh.ys[i], nh.vs[i]))
+        if (const auto fit = fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))
           total += fit->c1;
       sink = total;
     });

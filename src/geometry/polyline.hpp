@@ -21,7 +21,6 @@ class Polyline {
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   void push_back(Vec2 p) { points_.push_back(p); }
-  void set_closed(bool closed) { closed_ = closed; }
 
   double length() const;
   std::size_t num_segments() const;

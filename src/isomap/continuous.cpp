@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "exec/exec.hpp"
 #include "isomap/filter.hpp"
@@ -42,18 +43,6 @@ bool report_sets_equal(const std::vector<IsolineReport>& a,
   return true;
 }
 
-/// Mirror of node_selection.cpp's per-entry selection trace, replayed for
-/// cached selections so a trace is engine-independent event for event.
-void trace_selection(obs::TraceSink* sink, int node, double isolevel) {
-  if (sink == nullptr) return;
-  obs::TraceEvent event;
-  event.kind = "note";
-  event.phase = obs::kPhaseSelect;
-  event.node = node;
-  event.isolevel = isolevel;
-  sink->emit(event);
-}
-
 }  // namespace
 
 ContinuousMapper::ContinuousMapper(ContinuousOptions options,
@@ -66,6 +55,22 @@ ContinuousMapper::ContinuousMapper(ContinuousOptions options,
       tree_(&tree),
       isolevels_(options_.base.query.isolevels()),
       num_levels_(static_cast<int>(isolevels_.size())) {
+  // Reject bad options here, before a round has charged anything.
+  if (options_.base.query.regression_hops != 1)
+    throw std::invalid_argument(
+        "ContinuousMapper: regression_hops must be 1 (the fit caches hold "
+        "1-hop neighbourhoods)");
+  const auto require_finite_non_negative = [](double v, const char* name) {
+    if (!std::isfinite(v) || v < 0.0)
+      throw std::invalid_argument(std::string("ContinuousMapper: ") + name +
+                                  " must be finite and >= 0");
+  };
+  require_finite_non_negative(options_.gradient_refresh_deg,
+                              "gradient_refresh_deg");
+  require_finite_non_negative(options_.withdraw_bytes, "withdraw_bytes");
+  require_finite_non_negative(options_.beacon_bytes, "beacon_bytes");
+  if (options_.stale_rounds < 0)
+    throw std::invalid_argument("ContinuousMapper: stale_rounds must be >= 0");
   ensure_tables();
 }
 
@@ -76,9 +81,11 @@ void ContinuousMapper::set_topology(const Deployment& deployment,
   graph_ = &graph;
   tree_ = &tree;
   ensure_tables();
-  // Neighbour sets, liveness and (possibly) bounds changed: drop every
-  // cache. The next round re-evaluates everything — exactly the oracle's
-  // work — while repriming.
+  // Neighbour sets, liveness and (possibly) bounds changed.
+  drop_caches();
+}
+
+void ContinuousMapper::drop_caches() {
   caches_primed_ = false;
   for (auto& sc : selection_cache_) sc = SelectionCache{};
   for (auto& fc : fit_cache_) fc = FitCache{};
@@ -222,32 +229,11 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
   const auto u = static_cast<std::size_t>(node);
   if (grad_round_[u] == round_counter_) return grad_value_[u];
 
-  if (options_.engine == ContinuousEngine::kOracle) {
-    oracle_xs_.clear();
-    oracle_ys_.clear();
-    oracle_vs_.clear();
-    const auto gather = [&](int v) {
-      const Vec2 p = deployment_->node(v).reported_pos();
-      oracle_xs_.push_back(p.x);
-      oracle_ys_.push_back(p.y);
-      oracle_vs_.push_back(readings[static_cast<std::size_t>(v)]);
-    };
-    gather(node);
-    for (int nb : graph_->neighbour_span(node)) gather(nb);
-    double ops = 0.0;
-    const auto fit = fit_plane(oracle_xs_, oracle_ys_, oracle_vs_, &ops);
-    ledger.compute(node, ops);
-    if (!fit) return std::nullopt;
-    grad_round_[u] = round_counter_;
-    grad_value_[u] = fit->descent_direction();
-    return grad_value_[u];
-  }
-
   FitCache& fc = fit_cache_[u];
   if (!fc.primed) {
-    // Sample positions (own first, then neighbours ascending — the
-    // oracle's order) and the position block of the sufficient
-    // statistics are fixed for this topology; build them once.
+    // Sample positions (own first, then neighbours ascending) and the
+    // position block of the sufficient statistics are fixed for this
+    // topology; build them once.
     const auto nbs = graph_->neighbour_span(node);
     fc.samples.assign(3 * (nbs.size() + 1), 0.0);
     const auto xs = fc.column(0), ys = fc.column(1);
@@ -265,7 +251,7 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
     // A sample reading changed: refresh the values in place and redo
     // only the value block + solve. The cached position block is the
     // bit-exact result of plane_position_stats over these positions, so
-    // the fit equals fit_plane over the refreshed samples bit for bit.
+    // the fit equals fit_plane_soa over the refreshed samples bit for bit.
     const auto vs = fc.column(2);
     vs[0] = readings[u];
     std::size_t i = 1;
@@ -290,9 +276,9 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
     fc.valid = true;
     ledger.compute(node, fc.ops);
   } else {
-    // Untouched neighbourhood: replay the oracle's instrumentation and
+    // Untouched neighbourhood: replay a fresh fit's instrumentation and
     // ledger charge for the cached fit. (A degenerate node is replayed
-    // per selected entry, matching the oracle's per-entry refit.)
+    // per selected entry, as a fresh refit per entry would charge.)
     replay_fit_metrics(fc.size());
     if (!fc.has_fit) replay_degenerate_metric();
     ledger.compute(node, fc.ops);
@@ -303,7 +289,7 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
   return grad_value_[u];
 }
 
-ContourMap ContinuousMapper::build_map_incremental(
+ContourMap ContinuousMapper::build_map(
     const std::vector<IsolineReport>& reports) {
   obs::PhaseTimer timer(obs::kPhaseMapGen);
   obs::count("map_gen.reports", static_cast<double>(reports.size()));
@@ -379,11 +365,8 @@ ContourMap ContinuousMapper::build_map_incremental(
 
 RoundResult ContinuousMapper::round(const ScalarField& field_now,
                                     Ledger& ledger) {
-  std::vector<double> readings(static_cast<std::size_t>(deployment_->size()),
-                               0.0);
-  for (const auto& node : deployment_->nodes())
-    if (node.alive)
-      readings[static_cast<std::size_t>(node.id)] = field_now.value(node.pos);
+  std::vector<double> readings;
+  deployment_->sense(field_now, readings);
   return round(readings, ledger);
 }
 
@@ -395,9 +378,9 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
         "ContinuousMapper::round: readings size must equal the deployment");
   const ContourQuery& query = options_.base.query;
   ensure_tables();
+  if (options_.engine == ContinuousEngine::kOracle) drop_caches();
   ++round_counter_;
   obs_slots_ = RegressionObsSlots{};  // The registry can change per round.
-  const bool incremental = options_.engine == ContinuousEngine::kIncremental;
 
   // --- Beacon (readings were sensed by the caller). ---
   double beacon_bytes = 0.0;
@@ -409,14 +392,12 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   // --- Selection (Def. 3.1) on the fresh readings. ---
   obs::PhaseTimer select_timer(obs::kPhaseSelect);
   std::vector<SelectionEntry> selected;
-  // Incremental emission already knows each entry's level index; carrying
-  // it parallel to `selected` spares the route loop one binary search per
-  // entry. The oracle resolves the index in the route loop as before —
-  // both paths land on the identical index for the identical isolevel.
+  // Emission already knows each entry's level index; carrying it parallel
+  // to `selected` spares the route loop one binary search per entry.
   std::vector<int> selected_levels;
-  if (incremental) {
-    const int dirty_nodes = mark_dirty(readings);
-    obs::count("continuous.dirty_nodes", static_cast<double>(dirty_nodes));
+  const int dirty_nodes = mark_dirty(readings);
+  obs::count("continuous.dirty_nodes", static_cast<double>(dirty_nodes));
+  {
     const double eps = query.epsilon();
     // Re-evaluate Definition 3.1 only at the dirty nodes — across the
     // exec pool over tile blocks of the (ascending) dirty list, since
@@ -425,6 +406,8 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
     // merge below then updates the persistent selected-node list, the
     // per-node op charges and the candidate total in dirty-list order,
     // exactly as the serial loop did — clean nodes cost nothing here.
+    // Scoped so the per-block results are freed before routing and the
+    // sink build.
     struct DirtyEval {
       double ops = 0.0;
       int candidates = 0;
@@ -486,30 +469,22 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
         }
       }
     }
-    // Emit this round's selection — ascending (node, level), exactly the
-    // order the full per-node sweep would produce.
-    obs::TraceSink* const sink = obs::trace();
-    for (const int v : selected_nodes_) {
-      if (!graph_->alive(v)) continue;
-      for (int idx : selection_cache_[static_cast<std::size_t>(v)].levels) {
-        const double lambda = isolevels_[static_cast<std::size_t>(idx)];
-        selected.push_back({v, lambda});
-        selected_levels.push_back(idx);
-        trace_selection(sink, v, lambda);
-      }
-    }
-    if (candidates_total_ > 0)
-      obs::count("select.candidates", static_cast<double>(candidates_total_));
-    ledger.compute_all(*graph_, sel_ops_);
-  } else {
-    int alive = 0;
-    for (int v = 0; v < n; ++v)
-      if (graph_->alive(v)) ++alive;
-    obs::count("continuous.dirty_nodes", static_cast<double>(alive));
-    std::vector<double> selection_ops;
-    selected = select_isoline_nodes(*graph_, readings, query, &selection_ops);
-    ledger.compute_all(*graph_, selection_ops);
   }
+  // Emit this round's selection — ascending (node, level), exactly the
+  // order the full per-node sweep would produce.
+  obs::TraceSink* const sink = obs::trace();
+  for (const int v : selected_nodes_) {
+    if (!graph_->alive(v)) continue;
+    for (int idx : selection_cache_[static_cast<std::size_t>(v)].levels) {
+      const double lambda = isolevels_[static_cast<std::size_t>(idx)];
+      selected.push_back({v, lambda});
+      selected_levels.push_back(idx);
+      trace_selection(sink, v, lambda);
+    }
+  }
+  if (candidates_total_ > 0)
+    obs::count("select.candidates", static_cast<double>(candidates_total_));
+  ledger.compute_all(*graph_, sel_ops_);
 
   select_timer.stop();
 
@@ -527,9 +502,7 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   for (std::size_t si = 0; si < selected.size(); ++si) {
     const auto& entry = selected[si];
     if (!tree_->reachable(entry.node)) continue;
-    const int level = incremental ? selected_levels[si]
-                                  : level_index_of(entry.isolevel);
-    if (level < 0) continue;
+    const int level = selected_levels[si];
     const auto gradient_opt = gradient_for(entry.node, readings, ledger);
     if (!gradient_opt) continue;
     const Vec2 gradient = *gradient_opt;
@@ -634,28 +607,9 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   }
   result.active_reports = sink_count_;
   result.beacon_traffic_bytes = beacon_bytes;
-  if (incremental) {
-    result.map = build_map_incremental(reports);
-    prev_readings_ = std::move(readings);
-    caches_primed_ = true;
-  } else {
-    obs::count("continuous.levels_rebuilt", static_cast<double>(num_levels_));
-    // Group-and-fingerprint exactly as build_map_incremental does, so
-    // level_fingerprints() is engine-independent. Pure bookkeeping: no
-    // obs emission, no effect on the map or the ledger.
-    std::vector<std::vector<IsolineReport>> groups(
-        static_cast<std::size_t>(num_levels_));
-    for (const auto& r : reports) {
-      const int li = level_index_of(r.isolevel);
-      if (li >= 0) groups[static_cast<std::size_t>(li)].push_back(r);
-    }
-    last_fingerprints_.resize(groups.size());
-    for (std::size_t li = 0; li < groups.size(); ++li)
-      last_fingerprints_[li] = fingerprint_reports(groups[li]);
-    result.map = ContourMapBuilder(deployment_->bounds(),
-                                   options_.base.regulation)
-                     .build(reports, isolevels_);
-  }
+  result.map = build_map(reports);
+  prev_readings_ = readings;
+  caches_primed_ = true;
   return result;
 }
 

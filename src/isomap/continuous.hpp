@@ -13,18 +13,22 @@
 
 namespace isomap {
 
-/// Which round engine drives ContinuousMapper. Both engines produce
-/// bitwise-identical outputs (RoundResult, ledger charges, sink table,
-/// per-level contours, observability counters) — the incremental engine
-/// only skips recomputation whose inputs are provably unchanged, and
-/// recomputes everything else with the exact code path the oracle runs.
-/// See docs/PERFORMANCE.md ("Incremental continuous mapping").
+/// Which caching policy drives ContinuousMapper's single round path.
+/// Both produce bitwise-identical outputs (RoundResult, ledger charges,
+/// sink table, per-level contours, observability counters other than
+/// the continuous.* diagnostics): a round with its caches dropped is the
+/// same code as a round with every input changed. The independent
+/// references (select_isoline_nodes, ContourMapBuilder, the
+/// array-of-structs plane fit) are checked against both in
+/// tests/continuous_incremental_test.cpp. The enumerator values are part
+/// of the run-capsule wire format. See docs/PERFORMANCE.md ("Incremental
+/// continuous mapping").
 enum class ContinuousEngine {
-  /// Full recompute every round: every node re-evaluates Definition 3.1,
-  /// every selected node refits its regression, and every isolevel's
-  /// contour region is rebuilt. Retained as the equivalence oracle and
-  /// as the baseline bench/ext_continuous measures the incremental
-  /// engine against.
+  /// Cold rounds: the mapper drops its caches at the top of every round,
+  /// so every node re-evaluates Definition 3.1, every selected node
+  /// refits its regression, and every isolevel's contour region is
+  /// rebuilt. The baseline bench/ext_continuous measures the cached
+  /// policy against; scenario JSON spells it "oracle".
   kOracle,
   /// Dirty-set recomputation: per-round cost scales with the reading
   /// delta between rounds, not with the deployment size (the default).
@@ -54,7 +58,7 @@ struct ContinuousOptions {
   /// then trusts withdrawals alone).
   int stale_rounds = 0;
 
-  /// Round engine; outputs are engine-independent bit for bit.
+  /// Caching policy; outputs are engine-independent bit for bit.
   ContinuousEngine engine = ContinuousEngine::kIncremental;
 };
 
@@ -96,9 +100,13 @@ struct RoundResult {
 /// (in parallel, under the exec determinism contract). The modelled
 /// node costs charged to the ledger are unaffected: a real node still
 /// pays for its per-round evaluation, so energy accounting is identical
-/// to the full-recompute oracle.
+/// to a cold round's.
 class ContinuousMapper {
  public:
+  /// Throws std::invalid_argument, before any round has charged anything,
+  /// when base.query.regression_hops != 1 (the fit caches hold 1-hop
+  /// neighbourhoods), when gradient_refresh_deg, withdraw_bytes or
+  /// beacon_bytes is non-finite or negative, or when stale_rounds < 0.
   ContinuousMapper(ContinuousOptions options, const Deployment& deployment,
                    const CommGraph& graph, const RoutingTree& tree);
 
@@ -120,8 +128,8 @@ class ContinuousMapper {
   /// Swap in a rebuilt topology (after node failures). Node memory and
   /// the sink table are preserved; dead nodes' stale entries age out via
   /// soft-state expiry (set ContinuousOptions::stale_rounds) since a dead
-  /// node cannot withdraw. All incremental caches are invalidated — the
-  /// next round re-evaluates every node, exactly like the oracle.
+  /// node cannot withdraw. All caches are dropped (drop_caches()): the
+  /// next round re-evaluates every node.
   void set_topology(const Deployment& deployment, const CommGraph& graph,
                     const RoutingTree& tree);
 
@@ -134,7 +142,7 @@ class ContinuousMapper {
   };
 
   /// Full sink-table dump in (node, level) order — the exact comparison
-  /// surface the incremental-vs-oracle equivalence tests diff.
+  /// surface the engine equivalence tests diff.
   std::vector<SinkDumpEntry> sink_dump() const;
 
   /// Per-level round fingerprints: fingerprint_reports() of each
@@ -232,28 +240,34 @@ class ContinuousMapper {
   /// all state if the node count changed.
   void ensure_tables();
 
-  /// Incremental phase 1: compute the per-node selection dirty set and
-  /// invalidate fit caches from the bitwise reading deltas. Returns the
-  /// number of nodes that must re-evaluate Definition 3.1.
+  /// Forget every cache (selection, fits, level regions, the selection
+  /// aggregates) but keep node memory and the sink table. The next round
+  /// then evaluates every node and rebuilds every level while repriming.
+  /// The cold caching policy calls this at the top of every round.
+  void drop_caches();
+
+  /// Phase 1: compute the per-node selection dirty set and invalidate
+  /// fit caches from the bitwise reading deltas. Returns the number of
+  /// nodes that must re-evaluate Definition 3.1.
   int mark_dirty(const std::vector<double>& readings);
 
-  /// Gradient for a selected node this round (memoised per round), via
-  /// the engine-appropriate path. Returns nullopt on a degenerate fit.
-  /// Charges the node's fit ops to `ledger` exactly as the oracle does.
+  /// Gradient for a selected node this round (memoised per round), from
+  /// the node's fit cache. Returns nullopt on a degenerate fit. Charges
+  /// the node's fit ops to `ledger` on every call, cached or not.
   std::optional<Vec2> gradient_for(int node,
                                    const std::vector<double>& readings,
                                    Ledger& ledger);
 
-  /// Replay the oracle's per-fit metric emissions ("regression.fits" +
+  /// Replay a fresh fit's metric emissions ("regression.fits" +
   /// one "regression.samples" observation, or one
   /// "regression.degenerate" count) through the cached per-round slots.
   void replay_fit_metrics(std::size_t num_samples);
   void replay_degenerate_metric();
 
-  /// Incremental sink phase: group the post-filter reports per level,
-  /// fingerprint each group, rebuild only dirty levels (in parallel) and
-  /// reuse cached regions for the rest.
-  ContourMap build_map_incremental(const std::vector<IsolineReport>& reports);
+  /// Sink phase: group the post-filter reports per level, fingerprint
+  /// each group, rebuild only dirty levels (in parallel) and reuse cached
+  /// regions for the rest.
+  ContourMap build_map(const std::vector<IsolineReport>& reports);
 
   ContinuousOptions options_;
   const Deployment* deployment_;
@@ -277,9 +291,9 @@ class ContinuousMapper {
   /// (see level_fingerprints()).
   std::vector<std::uint64_t> last_fingerprints_;
 
-  /// Incremental caches. caches_primed_ is false after construction and
-  /// set_topology; the first round then evaluates every node (exactly
-  /// the oracle's work) while populating the caches.
+  /// Round caches. caches_primed_ is false after construction and
+  /// drop_caches(); the next round then evaluates every node while
+  /// populating the caches.
   bool caches_primed_ = false;
   std::vector<double> prev_readings_;
   std::vector<SelectionCache> selection_cache_;
@@ -302,7 +316,7 @@ class ContinuousMapper {
   /// Per-round lazily resolved metric slots for the regression replay —
   /// one map lookup per round instead of one per selected node. Reset at
   /// the top of every round; resolved on first use so counters appear in
-  /// the registry exactly when the oracle's per-fit emission would have
+  /// the registry exactly when a fresh per-fit emission would have
   /// created them.
   struct RegressionObsSlots {
     double* fits = nullptr;
@@ -318,9 +332,7 @@ class ContinuousMapper {
   std::vector<std::size_t> now_keys_;  ///< Slots written this round.
   std::vector<int> grad_round_;   ///< Per-node round stamp of grad_value_.
   std::vector<Vec2> grad_value_;  ///< Per-round gradient memo.
-  /// kOracle's per-fit sample gather (own + neighbours, SoA).
-  std::vector<double> oracle_xs_, oracle_ys_, oracle_vs_;
-  /// Per-level report grouping scratch for build_map_incremental.
+  /// Per-level report grouping scratch for build_map.
   std::vector<std::vector<IsolineReport>> level_scratch_;
 };
 

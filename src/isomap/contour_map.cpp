@@ -374,10 +374,8 @@ void StreamingSinkBuilder::consume(const IsolineReport& report) {
   for (auto it = begin; it != sorted_levels_.end(); ++it) {
     const double level = isolevels_[static_cast<std::size_t>(*it)];
     if (!(level - report.isolevel < kLevelTol)) break;
-    if (std::abs(report.isolevel - level) < kLevelTol) {
+    if (std::abs(report.isolevel - level) < kLevelTol)
       level_reports_[static_cast<std::size_t>(*it)].push_back(report);
-      ++buffered_;
-    }
   }
 }
 
@@ -391,7 +389,6 @@ ContourMap StreamingSinkBuilder::finish() {
     slots[li].emplace(isolevels_[li], std::move(level_reports_[li]), bounds_,
                       mode_);
   });
-  buffered_ = 0;
   std::vector<LevelRegion> regions;
   regions.reserve(k);
   for (auto& slot : slots) regions.push_back(std::move(*slot));

@@ -153,10 +153,6 @@ class StreamingSinkBuilder {
   /// batch-builder predicate decides membership).
   void consume(const IsolineReport& report);
 
-  /// Reports currently buffered across all levels (a report matching m
-  /// levels counts m times) — the sink's live memory driver.
-  std::size_t buffered_reports() const { return buffered_; }
-
   /// Build the stacked map from the buckets (one LevelRegion per level,
   /// constructed across the exec pool). Consumes the buckets.
   ContourMap finish();
@@ -170,7 +166,6 @@ class StreamingSinkBuilder {
   /// scanning every level per report.
   std::vector<int> sorted_levels_;
   std::vector<std::vector<IsolineReport>> level_reports_;
-  std::size_t buffered_ = 0;
 };
 
 /// Builds ContourMaps from sink-side report sets. A thin batch facade

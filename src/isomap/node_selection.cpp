@@ -9,19 +9,6 @@
 namespace isomap {
 namespace {
 
-/// Per-entry observability: one "note" event per (node, isolevel) the
-/// self-selection admits, so a trace shows exactly which nodes joined
-/// which isoline (the raw material of Fig. 9's report-density view).
-void trace_selection(obs::TraceSink* sink, int node, double isolevel) {
-  if (sink == nullptr) return;
-  obs::TraceEvent event;
-  event.kind = "note";
-  event.phase = obs::kPhaseSelect;
-  event.node = node;
-  event.isolevel = isolevel;
-  sink->emit(event);
-}
-
 /// Tile-block size of the parallel selection sweep. Per-node work is
 /// O(levels + deg), so blocks this size amortise chunk handout while a
 /// 10^6-node sweep still splits into ~500 blocks of parallel slack.
@@ -81,6 +68,16 @@ std::vector<SelectionEntry> select_over_blocks(
 }
 
 }  // namespace
+
+void trace_selection(obs::TraceSink* sink, int node, double isolevel) {
+  if (sink == nullptr) return;
+  obs::TraceEvent event;
+  event.kind = "note";
+  event.phase = obs::kPhaseSelect;
+  event.node = node;
+  event.isolevel = isolevel;
+  sink->emit(event);
+}
 
 bool is_candidate(double reading, double isolevel, double epsilon) {
   return std::abs(reading - isolevel) <= epsilon;

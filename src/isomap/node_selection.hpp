@@ -8,6 +8,9 @@
 #include "net/deployment.hpp"
 
 namespace isomap {
+namespace obs {
+class TraceSink;
+}
 
 /// Outcome of the distributed isoline-node self-selection (Definition 3.1)
 /// for one node and one isolevel.
@@ -86,6 +89,13 @@ NodeSelectionResult evaluate_node_selection(const CommGraph& graph,
 /// incremental continuous engine uses this to decide whether a changed
 /// reading can affect Definition 3.1 at all.
 std::pair<int, int> level_rank(const std::vector<double>& levels, double v);
+
+/// Per-entry observability: one "note" event per (node, isolevel) the
+/// self-selection admits, so a trace shows exactly which nodes joined
+/// which isoline (the raw material of Fig. 9's report-density view).
+/// No-op when `sink` is null. The selection sweeps above and the
+/// continuous mapper both emit through it.
+void trace_selection(obs::TraceSink* sink, int node, double isolevel);
 
 /// Candidate test for a single node/level (step 1 only); exposed for tests.
 bool is_candidate(double reading, double isolevel, double epsilon);

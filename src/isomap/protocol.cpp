@@ -20,6 +20,9 @@ IsoMapProtocol::IsoMapProtocol(IsoMapOptions options)
   if (!std::isfinite(options_.header_bytes) || options_.header_bytes < 0.0)
     throw std::invalid_argument(
         "IsoMapProtocol: header_bytes must be finite and >= 0");
+  if (options_.query.regression_hops < 1)
+    throw std::invalid_argument(
+        "IsoMapProtocol: regression_hops must be >= 1");
   (void)Channel::make(options_.link_loss, options_.link_retries,
                       options_.link_seed, options_.link_burst,
                       options_.link_impair, options_.link_arq);
@@ -55,8 +58,7 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
                                           graph.radio_range(),
                                           &selection_ops)
           : select_isoline_nodes(graph, readings, query, &selection_ops);
-  for (int v = 0; v < n; ++v)
-    if (graph.alive(v)) ledger.compute(v, selection_ops[static_cast<std::size_t>(v)]);
+  ledger.compute_all(graph, selection_ops);
   select_timer.stop();
 
   // --- Step 2: local measurement and report generation (Section 3.3). ---

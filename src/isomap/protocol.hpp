@@ -143,7 +143,8 @@ struct IsoMapResult {
 class IsoMapProtocol {
  public:
   /// Throws std::invalid_argument on options no run could use (a bad
-  /// header_bytes or link option), before anything is charged.
+  /// header_bytes, regression_hops < 1 or a bad link option), before
+  /// anything is charged.
   explicit IsoMapProtocol(IsoMapOptions options);
 
   const IsoMapOptions& options() const { return options_; }

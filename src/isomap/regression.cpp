@@ -159,25 +159,4 @@ std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
   return fit;
 }
 
-std::optional<PlaneFit> fit_plane(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
-                                  double* ops) {
-  record_fit_metrics(xs.size());
-  if (xs.size() < 3) {
-    record_degenerate_fit();
-    return std::nullopt;
-  }
-  // The fused batch kernel computes the identical sufficient statistics
-  // to the split plane_position_stats/plane_value_stats pair (see its
-  // header comment), so swapping it in changes no output bit.
-  const auto fit = fit_plane_soa(xs, ys, vs);
-  if (!fit) {
-    record_degenerate_fit();
-    return std::nullopt;
-  }
-  if (ops) *ops += fit_plane_ops(xs.size());
-  return fit;
-}
-
 }  // namespace isomap

@@ -21,7 +21,7 @@ struct PlaneFit {
   Vec2 descent_direction() const { return {-c1, -c2}; }
 };
 
-/// Position block of the centred sufficient statistics behind fit_plane
+/// Position block of the centred sufficient statistics behind a plane fit
 /// (the normal-equation sums of Eq. 2): sample count, mean position, and
 /// the centred position sums. A sensor's own and its neighbours'
 /// positions never change between continuous-mapping rounds, so this
@@ -81,52 +81,41 @@ PlaneStats plane_stats_batch(std::span<const double> xs,
                              std::span<const double> ys,
                              std::span<const double> vs);
 
-/// Pure SoA fit: plane_stats_batch + solve_plane, nothing else — no
-/// observability emission, no ops accounting, safe to call from exec pool
-/// workers. The parallel node phase fits with this and replays the
-/// instrumented fit_plane's metrics and ledger charge in its ordered
-/// merge via record_fit_metrics / record_degenerate_fit + fit_plane_ops.
+/// Least-squares plane fit through the samples, given as parallel
+/// coordinate/value arrays, by solving the 3x3 normal equations A w = b of
+/// Eq. 2 (Section 3.3): plane_stats_batch + solve_plane, nothing else.
+/// Returns nullopt when the samples are degenerate (fewer than 3, or
+/// collinear positions), in which case no gradient estimate exists.
+/// Bit-identical to plane_position_stats + plane_value_stats +
+/// solve_plane, so callers holding a cached position block reproduce it
+/// bit for bit. No observability emission and no ops accounting, so it is
+/// safe to call from exec pool workers: callers charge fit_plane_ops and
+/// emit record_fit_metrics / record_degenerate_fit in their ordered merge.
 std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
                                       std::span<const double> ys,
                                       std::span<const double> vs);
 
-/// The metric emissions of one fit_plane call, exposed so a serial merge
-/// can replay them for fits computed on pool workers: record_fit_metrics
-/// first (fit count + scope-size observation), then record_degenerate_fit
-/// iff the fit failed — the exact order the instrumented path emits.
+/// The metric emissions of one plane fit, emitted by a serial merge for
+/// fits computed on pool workers: record_fit_metrics first (fit count +
+/// scope-size observation), then record_degenerate_fit iff the fit failed.
 void record_fit_metrics(std::size_t n_samples);
 void record_degenerate_fit();
 
 /// Solve the 3x3 normal equations assembled from the two blocks. Returns
 /// nullopt on degeneracy (fewer than 3 samples, or collinear positions).
-/// Pure arithmetic: no observability emission, no ops accounting — use
-/// fit_plane for the fully instrumented single-shot path.
+/// Pure arithmetic: no observability emission, no ops accounting.
 std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
                                     const PlaneValueStats& val);
 
-/// Arithmetic-operation charge of one plane fit over n samples: ~12
+/// Arithmetic-operation charge of one non-degenerate plane fit over n
+/// samples, which the protocol charges to the node's compute ledger: ~12
 /// multiply-adds per sample for the sums plus a constant ~40 for the 3x3
-/// solve — the O(deg) cost quoted in Section 4.2. The charge is a
-/// function of the sample count only, so a cached fit replays it exactly.
+/// solve — the O(deg) per-isoline-node cost quoted in Section 4.2. The
+/// charge is a function of the sample count only, so a cached fit replays
+/// it exactly.
 inline double fit_plane_ops(std::size_t n_samples) {
   return 12.0 * static_cast<double>(n_samples) + 40.0;
 }
-
-/// Least-squares plane fit through the samples, given as parallel
-/// coordinate/value arrays, by solving the 3x3 normal equations A w = b of
-/// Eq. 2 (Section 3.3). Returns nullopt when the samples are degenerate
-/// (fewer than 3, or collinear positions), in which case no gradient
-/// estimate exists. Bit-identical to plane_position_stats +
-/// plane_value_stats + solve_plane, so callers holding a cached position
-/// block reproduce this function bit for bit.
-///
-/// `ops` (if non-null) is incremented with the arithmetic-operation count,
-/// which the protocol charges to the node's compute ledger — this is the
-/// O(deg) per-isoline-node cost of Section 4.2.
-std::optional<PlaneFit> fit_plane(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
-                                  double* ops = nullptr);
 
 /// Solve a 3x3 linear system in-place by Gaussian elimination with partial
 /// pivoting. Returns false if singular. Exposed for testing.

@@ -54,13 +54,6 @@ class RoundArena {
     used_ = 0;
   }
 
-  /// Total bytes held across all blocks (reserved, not necessarily used).
-  std::size_t bytes_reserved() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-
  private:
   struct Block {
     std::unique_ptr<std::byte[]> data;

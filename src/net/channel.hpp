@@ -104,11 +104,6 @@ class Channel {
   bool perfect() const { return !bursty() && loss_probability_ <= 0.0; }
   double loss_probability() const { return loss_probability_; }
   int max_retries() const { return max_retries_; }
-  const std::optional<GilbertElliottParams>& burst_params() const {
-    return burst_;
-  }
-  /// Currently in the Gilbert–Elliott burst state (always false i.i.d.).
-  bool in_burst() const { return in_burst_; }
 
   /// Impairment pipeline active (transfer() runs the ARQ engine).
   bool impaired() const { return impair_.has_value(); }

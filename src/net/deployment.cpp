@@ -6,7 +6,15 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
+
 namespace isomap {
+namespace {
+
+/// Nodes per parallel block of Deployment::sense.
+constexpr std::size_t kSenseBlock = 4096;
+
+}  // namespace
 
 Deployment::Deployment(FieldBounds bounds, std::vector<Node> nodes)
     : bounds_(bounds), nodes_(std::move(nodes)) {
@@ -14,6 +22,17 @@ Deployment::Deployment(FieldBounds bounds, std::vector<Node> nodes)
     if (nodes_[i].id != static_cast<int>(i))
       throw std::invalid_argument("Deployment: node ids must be 0..n-1");
   }
+}
+
+void Deployment::sense(const ScalarField& field,
+                       std::vector<double>& readings) const {
+  readings.resize(nodes_.size());
+  exec::parallel_for_blocks(
+      TileBlocks{nodes_.size(), kSenseBlock},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          readings[i] = nodes_[i].alive ? field.value(nodes_[i].pos) : 0.0;
+      });
 }
 
 Deployment Deployment::uniform_random(FieldBounds bounds, int n, Rng& rng) {

@@ -50,6 +50,13 @@ class Deployment {
   int size() const { return static_cast<int>(nodes_.size()); }
   int alive_count() const;
 
+  /// Sense `field` at every node's physical position: `readings` becomes
+  /// one value per node id, field.value(pos) for an alive node and 0.0
+  /// for a dead one. Runs over parallel tile blocks (each node writes its
+  /// own slot, so the result is independent of the thread count); inside
+  /// another parallel region it runs inline.
+  void sense(const ScalarField& field, std::vector<double>& readings) const;
+
   /// Nodes per unit area, counting all (alive or dead) nodes.
   double density() const;
 

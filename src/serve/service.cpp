@@ -138,7 +138,6 @@ struct IsoMapService::Shard {
       readings = scripted[r];
       return;
     }
-    readings.assign(static_cast<std::size_t>(deployment.size()), 0.0);
     const double phase =
         drift_per_round * static_cast<double>(round_index - 1);
     const double m = std::fmod(phase, 2.0);
@@ -149,10 +148,7 @@ struct IsoMapService::Shard {
       blended.emplace(*base_field, *drift_field, alpha);
       field = &*blended;
     }
-    for (const auto& node : deployment.nodes()) {
-      if (!node.alive) continue;
-      readings[static_cast<std::size_t>(node.id)] = field->value(node.pos);
-    }
+    deployment.sense(*field, readings);
   }
 };
 

@@ -120,10 +120,8 @@ class IsoMapService {
   const std::string& first_divergence() const { return first_divergence_; }
   std::size_t cache_size() const { return cache_.size(); }
 
-  /// Latency sample sets (microseconds) over all queries / hits / misses.
+  /// Latency sample set (microseconds) over all queries.
   const SampleSet& latency_all() const { return lat_all_; }
-  const SampleSet& latency_hits() const { return lat_hit_; }
-  const SampleSet& latency_misses() const { return lat_miss_; }
 
   /// Service-level summary (queries, hit/miss lanes, latency quantiles,
   /// per-shard ledger digests). Deterministic except wall_s/latency.

@@ -87,6 +87,8 @@ inline bool finite_non_negative(const double& v) {
 /// Channel::make's rules: a link loss in [0, 1), retries >= 0.
 inline bool link_loss_rule(const double& v) { return v >= 0.0 && v < 1.0; }
 inline bool non_negative_count(const int& v) { return v >= 0; }
+/// IsoMapProtocol's rule: a regression scope of at least one hop.
+inline bool positive_count(const int& v) { return v >= 1; }
 
 /// Primary: no table (a wire primitive or a container).
 template <class T>
@@ -130,7 +132,7 @@ inline constexpr auto kFields<ContourQuery> = std::tuple{
     field("angular_separation_deg", &ContourQuery::angular_separation_deg),
     field("distance_separation", &ContourQuery::distance_separation),
     field("enable_filtering", &ContourQuery::enable_filtering),
-    field("regression_hops", &ContourQuery::regression_hops)};
+    field("regression_hops", &ContourQuery::regression_hops, positive_count)};
 
 template <>
 inline constexpr auto kFields<GilbertElliottParams> = std::tuple{
@@ -188,14 +190,20 @@ inline constexpr auto kFields<ArqConfig> = std::tuple{
     field("max_timeout_s", &ArqConfig::max_timeout_s),
     field("max_frame_attempts", &ArqConfig::max_frame_attempts)};
 
+/// ContinuousMapper's rules; its 1-hop regression rule is checked in
+/// from_capsule, since single-shot runs may use wider scopes.
 template <>
-inline constexpr auto kFields<ContinuousOptions> = std::tuple{
-    skip(&ContinuousOptions::base, "stored in the options section"),
-    field("gradient_refresh_deg", &ContinuousOptions::gradient_refresh_deg),
-    field("withdraw_bytes", &ContinuousOptions::withdraw_bytes),
-    field("beacon_bytes", &ContinuousOptions::beacon_bytes),
-    field("stale_rounds", &ContinuousOptions::stale_rounds),
-    field("engine", &ContinuousOptions::engine)};
+inline constexpr auto kFields<ContinuousOptions> = [] {
+  using S = ContinuousOptions;
+  return std::tuple{
+      skip(&S::base, "stored in the options section"),
+      field("gradient_refresh_deg", &S::gradient_refresh_deg,
+            finite_non_negative),
+      field("withdraw_bytes", &S::withdraw_bytes, finite_non_negative),
+      field("beacon_bytes", &S::beacon_bytes, finite_non_negative),
+      field("stale_rounds", &S::stale_rounds, non_negative_count),
+      field("engine", &S::engine)};
+}();
 
 template <>
 inline constexpr auto kFields<DeploymentSnapshot::NodeRec> = std::tuple{

@@ -620,7 +620,12 @@ RunCapsule from_capsule(const Capsule& c) {
   RunCapsule run;
   SectionReader io{c};
   walk_sections(io, run);
-  if (run.kind == RunKind::kContinuous) run.continuous.base = run.options;
+  if (run.kind == RunKind::kContinuous) {
+    run.continuous.base = run.options;
+    // The continuous mapper's fit caches hold 1-hop neighbourhoods.
+    if (run.options.query.regression_hops != 1)
+      throw out_of_range("regression_hops");
+  }
   if (!finite_positive(run.radio_range)) throw out_of_range("radio_range");
   if (run.sink < 0 ||
       static_cast<std::size_t>(run.sink) >= run.deployment.nodes.size())

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/exec.hpp"
-
 namespace isomap {
 
 double ScenarioConfig::effective_radio_range() const {
@@ -15,9 +13,6 @@ double ScenarioConfig::effective_radio_range() const {
 }
 
 namespace {
-
-/// Nodes per parallel block of the field sampling.
-constexpr std::size_t kSampleBlock = 4096;
 
 GaussianField make_field(const ScenarioConfig& config, Rng& rng) {
   const FieldBounds bounds = config.bounds();
@@ -83,20 +78,12 @@ Scenario make_scenario_with_field(ScenarioConfig config,
   if (sink < 0) throw std::runtime_error("make_scenario: no alive nodes");
   RoutingTree tree(graph, sink);
 
-  // Field values in parallel blocks (each node writes its own slot), then
-  // the noise serially in node order so the noise stream is unchanged.
-  const std::vector<Node>& nodes = deployment.nodes();
-  std::vector<double> readings(nodes.size(), 0.0);
-  exec::parallel_for_blocks(
-      TileBlocks{nodes.size(), kSampleBlock},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          if (nodes[i].alive)
-            readings[static_cast<std::size_t>(nodes[i].id)] =
-                field.value(nodes[i].pos);
-      });
+  // Field values in parallel blocks, then the noise serially in node
+  // order so the noise stream is unchanged.
+  std::vector<double> readings;
+  deployment.sense(field, readings);
   if (config.reading_noise_std > 0.0)
-    for (const Node& node : nodes)
+    for (const Node& node : deployment.nodes())
       if (node.alive)
         readings[static_cast<std::size_t>(node.id)] +=
             noise_rng.normal(0.0, config.reading_noise_std);

@@ -174,12 +174,8 @@ TEST(CapsuleContainer, RejectsTruncatedSection) {
 // Run-capsule fixtures.
 
 std::vector<double> sense(const Scenario& scenario) {
-  std::vector<double> readings(
-      static_cast<std::size_t>(scenario.deployment.size()), 0.0);
-  for (const auto& node : scenario.deployment.nodes())
-    if (node.alive)
-      readings[static_cast<std::size_t>(node.id)] =
-          scenario.field.value(node.pos);
+  std::vector<double> readings;
+  scenario.deployment.sense(scenario.field, readings);
   return readings;
 }
 
@@ -534,6 +530,55 @@ TEST(CapsuleDecode, RejectsBadHeaderBytesAndLinkOptions) {
     run.options.link_retries = 0;
     EXPECT_NO_THROW((void)from_capsule(to_capsule(run)));
   }
+}
+
+TEST(CapsuleDecode, RejectsBadRegressionHopsAndContinuousOptions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const RunCapsule single = load(kGoldenDir + "/single_small.capsule");
+  const RunCapsule continuous =
+      load(kGoldenDir + "/continuous_drift.capsule");
+  for (const RunCapsule* golden : {&single, &continuous}) {
+    for (const int hops : {0, -1}) {
+      RunCapsule run = *golden;
+      run.options.query.regression_hops = hops;
+      EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+          << "regression_hops " << hops;
+    }
+  }
+  // Wider scopes are a single-shot option only: the continuous mapper's
+  // fit caches hold 1-hop neighbourhoods.
+  RunCapsule run = single;
+  run.options.query.regression_hops = 2;
+  EXPECT_NO_THROW((void)from_capsule(to_capsule(run)));
+  run = continuous;
+  run.options.query.regression_hops = 2;
+  EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
+
+  for (const double v : {nan, inf, -4.0}) {
+    run = continuous;
+    run.continuous.withdraw_bytes = v;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+        << "withdraw_bytes " << v;
+    run = continuous;
+    run.continuous.beacon_bytes = v;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+        << "beacon_bytes " << v;
+    run = continuous;
+    run.continuous.gradient_refresh_deg = v;
+    EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
+        << "gradient_refresh_deg " << v;
+  }
+  run = continuous;
+  run.continuous.stale_rounds = -3;
+  EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
+  // The boundary values still decode.
+  run = continuous;
+  run.continuous.withdraw_bytes = 0.0;
+  run.continuous.beacon_bytes = 0.0;
+  run.continuous.gradient_refresh_deg = 0.0;
+  run.continuous.stale_rounds = 0;
+  EXPECT_NO_THROW((void)from_capsule(to_capsule(run)));
 }
 
 // ---------------------------------------------------------------------------

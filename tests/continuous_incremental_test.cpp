@@ -6,12 +6,18 @@
 // withdrawals and band-edge readings, at any thread count. Timing
 // fields (wall_s, phase histograms/events) and the engine-diagnostic
 // continuous.* counters are the only outputs allowed to differ.
+//
+// Both engines run the mapper's one round path (kOracle just drops the
+// caches first), so every round is also checked against references that
+// share none of it: select_isoline_nodes, ContourMapBuilder and the
+// array-of-structs plane fit in tests/oracles.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -21,7 +27,9 @@
 #include "field/bathymetry.hpp"
 #include "field/blended_field.hpp"
 #include "isomap/continuous.hpp"
+#include "isomap/node_selection.hpp"
 #include "obs/obs.hpp"
+#include "oracles/regression_aos.hpp"
 #include "sim/runners.hpp"
 
 namespace isomap {
@@ -163,10 +171,23 @@ RoundCapture observed_round(ContinuousMapper& mapper,
   return capture;
 }
 
+/// What one round of a test sequence ran on, for the reference checks.
+struct RoundContext {
+  const ContinuousMapper& mapper;
+  const ContinuousOptions& options;
+  const Deployment& deployment;
+  const CommGraph& graph;
+  const ScalarField& field;
+  int round;  ///< 1-based: the sink's last_update stamp for this round.
+};
+using RoundHook = std::function<void(const RoundContext&, const RoundCapture&)>;
+
 /// A 22-round drifting-harbor sequence with a 15% node crash (and
 /// topology rebuild) after round 9, soft-state expiry enabled, and every
 /// third round held static so the fully cached paths are exercised.
-std::vector<RoundCapture> run_sequence(ContinuousEngine engine) {
+/// `hook`, if set, runs after every round.
+std::vector<RoundCapture> run_sequence(ContinuousEngine engine,
+                                       const RoundHook& hook = {}) {
   ScenarioConfig config;
   config.num_nodes = 900;
   config.field_side = 30.0;
@@ -201,8 +222,134 @@ std::vector<RoundCapture> run_sequence(ContinuousEngine engine) {
       mapper.set_topology(s.deployment, *crashed_graph, *crashed_tree);
     }
     rounds.push_back(observed_round(mapper, field, ledger));
+    if (hook)
+      hook({mapper, opts, s.deployment,
+            crashed_graph ? *crashed_graph : s.graph, field, r + 1},
+           rounds.back());
   }
   return rounds;
+}
+
+/// A static base plus a compact-support bump: readings change only inside
+/// the bump's disc, so nodes just outside it keep their reading while a
+/// neighbour's changes — the case mark_dirty invalidates neighbour fits
+/// for.
+class MovingBumpField final : public ScalarField {
+ public:
+  MovingBumpField(const ScalarField& base, double radius, double amplitude)
+      : base_(&base), radius_(radius), amplitude_(amplitude) {}
+  void set_center(Vec2 c) { center_ = c; }
+  double value(Vec2 p) const override {
+    const double r2 = radius_ * radius_;
+    const double d2 = (p - center_).norm2();
+    if (d2 >= r2) return base_->value(p);
+    const double w = 1.0 - d2 / r2;
+    return base_->value(p) + amplitude_ * w * w;
+  }
+  FieldBounds bounds() const override { return base_->bounds(); }
+
+ private:
+  const ScalarField* base_;
+  Vec2 center_{};
+  double radius_;
+  double amplitude_;
+};
+
+/// A bump circling over the static harbor for 12 rounds. stale_rounds 2
+/// makes every still-selected entry send a keep-alive each round, so every
+/// live sink entry carries this round's fit.
+std::vector<RoundCapture> run_bump_sequence(ContinuousEngine engine,
+                                            const RoundHook& hook) {
+  ScenarioConfig config;
+  config.num_nodes = 900;
+  config.field_side = 30.0;
+  config.seed = 33;
+  const Scenario s = make_scenario(config);
+  const GaussianField base = harbor_bathymetry({0, 0, 30, 30});
+  MovingBumpField field(base, 5.0, 3.0);
+
+  ContinuousOptions opts;
+  opts.base.query = default_query(base, 4);
+  opts.stale_rounds = 2;
+  opts.engine = engine;
+
+  ContinuousMapper mapper(opts, s.deployment, s.graph, s.tree);
+  Ledger ledger(s.deployment.size());
+  std::vector<RoundCapture> rounds;
+  for (int r = 0; r < 12; ++r) {
+    const double theta = 0.5 * r;
+    field.set_center(
+        {15.0 + 7.0 * std::cos(theta), 15.0 + 7.0 * std::sin(theta)});
+    rounds.push_back(observed_round(mapper, field, ledger));
+    hook({mapper, opts, s.deployment, s.graph, field, r + 1}, rounds.back());
+  }
+  return rounds;
+}
+
+/// The select-phase "note" lines of a stable trace.
+std::string select_notes(const std::string& jsonl) {
+  const std::string prefix = std::string("{\"kind\":\"note\",\"phase\":\"") +
+                             obs::kPhaseSelect + "\"";
+  std::istringstream in(jsonl);
+  std::string line, out;
+  while (std::getline(in, line))
+    if (line.rfind(prefix, 0) == 0) {
+      out += line;
+      out += '\n';
+    }
+  return out;
+}
+
+/// Check one round against references independent of the mapper's round
+/// path. Returns the number of sink entries whose gradient was checked.
+int expect_matches_references(const RoundContext& ctx,
+                              const RoundCapture& capture,
+                              const std::string& where) {
+  std::vector<double> readings;
+  ctx.deployment.sense(ctx.field, readings);
+  const ContourQuery& query = ctx.options.base.query;
+
+  // The map is ContourMapBuilder's over the post-filter report list.
+  const ContourMap reference =
+      ContourMapBuilder(ctx.deployment.bounds(), ctx.options.base.regulation)
+          .build(ctx.mapper.post_filter_reports(), query.isolevels());
+  expect_maps_equal(*capture.map, reference, where + " map");
+
+  // The selection notes are select_isoline_nodes' on the same readings.
+  std::ostringstream text;
+  obs::TraceSink sink(text);
+  {
+    const obs::ObsScope scope(nullptr, &sink);
+    (void)select_isoline_nodes(ctx.graph, readings, query);
+  }
+  sink.flush();
+  EXPECT_FALSE(text.str().empty()) << where << " select";
+  EXPECT_EQ(select_notes(capture.trace), text.str()) << where << " select";
+
+  // Every entry reported this round carries the AoS fit's direction over
+  // the node's own and 1-hop neighbours' reported positions and readings.
+  int fitted = 0;
+  for (const auto& entry : ctx.mapper.sink_dump()) {
+    if (entry.last_update != ctx.round) continue;
+    std::vector<oracle::FieldSample> samples;
+    const auto add = [&](int v) {
+      samples.push_back({ctx.deployment.node(v).reported_pos(),
+                         readings[static_cast<std::size_t>(v)]});
+    };
+    add(entry.node);
+    for (const int nb : ctx.graph.neighbour_span(entry.node)) add(nb);
+    const auto fit = oracle::fit_plane(samples);
+    const std::string at = where + " node " + std::to_string(entry.node);
+    if (!fit) {
+      ADD_FAILURE() << at << ": reported a degenerate fit";
+      continue;
+    }
+    const Vec2 d = fit->descent_direction();
+    EXPECT_EQ(bits(entry.report.gradient.x), bits(d.x)) << at;
+    EXPECT_EQ(bits(entry.report.gradient.y), bits(d.y)) << at;
+    ++fitted;
+  }
+  return fitted;
 }
 
 template <typename Fn>
@@ -211,6 +358,33 @@ auto at_thread_count(int threads, Fn&& fn) {
   auto result = fn();
   exec::set_thread_count(0);
   return result;
+}
+
+TEST(ContinuousIncremental, EveryRoundMatchesIndependentReferences) {
+  using Sequence =
+      std::vector<RoundCapture> (*)(ContinuousEngine, const RoundHook&);
+  const std::pair<const char*, Sequence> sequences[] = {
+      {"drift", run_sequence}, {"bump", run_bump_sequence}};
+  for (const auto& [name, sequence] : sequences) {
+    for (const ContinuousEngine engine :
+         {ContinuousEngine::kOracle, ContinuousEngine::kIncremental}) {
+      for (const int threads : {1, 4}) {
+        const std::string label =
+            std::string(name) + " " +
+            (engine == ContinuousEngine::kOracle ? "oracle" : "incremental") +
+            "@" + std::to_string(threads);
+        int fitted = 0;
+        at_thread_count(threads, [&] {
+          return sequence(engine, [&](const RoundContext& ctx,
+                                      const RoundCapture& capture) {
+            fitted += expect_matches_references(
+                ctx, capture, label + " round " + std::to_string(ctx.round));
+          });
+        });
+        EXPECT_GT(fitted, 0) << label;
+      }
+    }
+  }
 }
 
 TEST(ContinuousIncremental, MatchesOracleAcrossCrashesAndThreadCounts) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "eval/metrics.hpp"
 #include "field/blended_field.hpp"
 #include "isomap/continuous.hpp"
@@ -134,11 +137,8 @@ TEST_F(ContinuousFixture, DeltaTrafficBelowSnapshotReruns) {
     IsoMapOptions options = opts.base;
     options.query.enable_filtering = false;  // Match continuous semantics.
     IsoMapProtocol protocol(options);
-    std::vector<double> readings(
-        static_cast<std::size_t>(scenario_.deployment.size()), 0.0);
-    for (const auto& node : scenario_.deployment.nodes())
-      if (node.alive)
-        readings[static_cast<std::size_t>(node.id)] = field.value(node.pos);
+    std::vector<double> readings;
+    scenario_.deployment.sense(field, readings);
     const IsoMapResult result =
         protocol.run(readings, scenario_.deployment, scenario_.graph,
                      scenario_.tree, ledger);
@@ -197,6 +197,48 @@ TEST_F(ContinuousFixture, KeepalivesRefreshUnchangedEntries) {
   }
   EXPECT_GT(keepalives, 0);   // Static field: entries kept alive...
   EXPECT_EQ(expired, 0);      // ...so nothing expires.
+}
+
+TEST_F(ContinuousFixture, RejectsBadOptionsBeforeAnyCharge) {
+  const auto rejects = [&](const ContinuousOptions& opts) {
+    EXPECT_THROW(ContinuousMapper(opts, scenario_.deployment,
+                                  scenario_.graph, scenario_.tree),
+                 std::invalid_argument);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The fit caches hold 1-hop neighbourhoods: any other scope is refused
+  // rather than silently ignored.
+  for (const int hops : {-1, 0, 2}) {
+    ContinuousOptions opts = options();
+    opts.base.query.regression_hops = hops;
+    rejects(opts);
+  }
+  for (const double v : {kNaN, kInf, -4.0}) {
+    ContinuousOptions opts = options();
+    opts.withdraw_bytes = v;
+    rejects(opts);
+    opts = options();
+    opts.beacon_bytes = v;
+    rejects(opts);
+    opts = options();
+    opts.gradient_refresh_deg = v;
+    rejects(opts);
+  }
+  ContinuousOptions opts = options();
+  opts.stale_rounds = -3;
+  rejects(opts);
+
+  // Zero is a valid value for every one of them.
+  opts = options();
+  opts.withdraw_bytes = 0.0;
+  opts.beacon_bytes = 0.0;
+  opts.gradient_refresh_deg = 0.0;
+  opts.stale_rounds = 0;
+  ContinuousMapper mapper(opts, scenario_.deployment, scenario_.graph,
+                          scenario_.tree);
+  Ledger ledger(scenario_.deployment.size());
+  EXPECT_NO_THROW(mapper.round(scenario_.field, ledger));
 }
 
 TEST(ContinuousMapper, WithdrawalsWhenIsolineLeaves) {

@@ -1,8 +1,8 @@
 #pragma once
 
 // Oracle for the span kernels in src/isomap/regression.hpp
-// (plane_position_stats, plane_value_stats, fit_plane): each must match
-// its array-of-structs counterpart here bit for bit.
+// (plane_position_stats, plane_value_stats, fit_plane_soa): each must
+// match its array-of-structs counterpart here bit for bit.
 
 #include <optional>
 #include <vector>
@@ -60,8 +60,9 @@ inline PlaneValueStats plane_value_stats(
 }
 
 /// Least-squares plane fit through the samples (Eq. 2): position stats,
-/// value stats, then solve_plane. Same observability emission and ops
-/// charge as the production fit_plane.
+/// value stats, then solve_plane. Emits the metrics and adds the ops a
+/// production fit is charged: record_fit_metrics, record_degenerate_fit
+/// on failure, fit_plane_ops on success.
 inline std::optional<PlaneFit> fit_plane(
     const std::vector<FieldSample>& samples, double* ops = nullptr) {
   record_fit_metrics(samples.size());

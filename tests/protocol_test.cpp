@@ -49,6 +49,20 @@ TEST(IsoMapProtocol, RejectsBadHeaderBytesAndLinkOptionsUpFront) {
   EXPECT_NO_THROW(IsoMapProtocol{options});
 }
 
+TEST(IsoMapProtocol, RejectsRegressionScopeBelowOneHop) {
+  // A 0-hop scope leaves every fit degenerate: the run would generate no
+  // reports at all.
+  for (const int hops : {0, -1}) {
+    IsoMapOptions bad;
+    bad.query.regression_hops = hops;
+    EXPECT_THROW(IsoMapProtocol{bad}, std::invalid_argument)
+        << "regression_hops " << hops;
+  }
+  IsoMapOptions two_hops;
+  two_hops.query.regression_hops = 2;
+  EXPECT_NO_THROW(IsoMapProtocol{two_hops});
+}
+
 TEST(IsoMapProtocol, ReportCountIsFarBelowNodeCount) {
   const Scenario s = scenario();
   const IsoMapRun run = run_isomap(s, 4);

@@ -41,11 +41,8 @@ namespace {
 /// mapper's field-driven round does.
 std::vector<double> sense(const Scenario& scenario,
                           const ScalarField& field) {
-  std::vector<double> readings(
-      static_cast<std::size_t>(scenario.deployment.size()), 0.0);
-  for (const auto& node : scenario.deployment.nodes())
-    if (node.alive)
-      readings[static_cast<std::size_t>(node.id)] = field.value(node.pos);
+  std::vector<double> readings;
+  scenario.deployment.sense(field, readings);
   return readings;
 }
 
