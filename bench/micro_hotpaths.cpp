@@ -6,10 +6,13 @@
 // behaviour change.
 // Later rows follow the same pattern for the other kernels, down to the
 // field sensing pass (per-call bump rotation vs the precomputed table)
-// and the report convergecast (full post-order walk vs level frontier).
+// and the report convergecast (full post-order walk vs level frontier),
+// and its in-network filter (per-merge bucket rebuild vs the filter index
+// kept with each inbox).
 // Expectation: indexed Voronoi >= 5x at n = 10000; scratch BFS ahead of
 // the allocating baseline at every density; field sensing ~3x; the
-// frontier ahead of the walk, more so at the larger n.
+// frontier ahead of the walk, more so at the larger n; the filter index
+// ahead of the bucket walk.
 
 #include <bit>
 #include <chrono>
@@ -27,6 +30,7 @@
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
 #include "oracles/convergecast_post_order.hpp"
+#include "oracles/filter_bucket_walk.hpp"
 #include "oracles/gaussian_field_reference.hpp"
 #include "oracles/k_hop_bfs.hpp"
 #include "oracles/marching_squares_reference.hpp"
@@ -62,6 +66,22 @@ double best_ms(int reps, Fn&& fn) {
     best = std::min(best, ms);
   }
   return best;
+}
+
+/// One round's reports over the static tree: one per Definition 3.1
+/// selection entry at a reachable node, carrying the field's descent
+/// direction, with ids 0..k-1.
+std::vector<IsolineReport> round_reports(const Scenario& s,
+                                         const ContourQuery& query) {
+  std::vector<IsolineReport> reports;
+  for (const SelectionEntry& e :
+       select_isoline_nodes(s.graph, s.readings, query)) {
+    const Vec2 pos = s.deployment.node(e.node).reported_pos();
+    IsolineReport r{e.isolevel, pos, -s.field.gradient(pos), e.node};
+    r.id = static_cast<long long>(reports.size());
+    if (s.tree.reachable(e.node)) reports.push_back(r);
+  }
+  return reports;
 }
 
 /// Every alive node's regression samples — its own reading first, then
@@ -576,14 +596,7 @@ int main() {
   for (const int n : {40000, 250000}) {
     const Scenario s = harbor_scenario(n, kBenchSeed);
     const ContourQuery query = default_query(s.field, 8);
-    std::vector<IsolineReport> reports;
-    for (const SelectionEntry& e :
-         select_isoline_nodes(s.graph, s.readings, query)) {
-      const Vec2 pos = s.deployment.node(e.node).reported_pos();
-      IsolineReport r{e.isolevel, pos, -s.field.gradient(pos), e.node};
-      r.id = static_cast<long long>(reports.size());
-      if (s.tree.reachable(e.node)) reports.push_back(r);
-    }
+    const std::vector<IsolineReport> reports = round_reports(s, query);
     const InNetworkFilter filter = InNetworkFilter::from_query(query);
     const ConvergecastOptions options{.filter = &filter};
     Channel channel;
@@ -626,6 +639,89 @@ int main() {
         .cell(walk_ms, 2)
         .cell(frontier_ms, 2)
         .cell(walk_ms / frontier_ms, 1);
+  }
+
+  // In-network filter: the merges of one filtered round at the
+  // harbor_dense size (40 000 nodes, 32 levels), replayed hop by hop in
+  // post-order over the nodes on report paths. The oracle rebuilds a
+  // bucket index over report copies at every merge; the production
+  // FilterIndex moves report indices and appends to per-level chains.
+  // Identity-checked on the sink's kept order and the summed ops.
+  {
+    const int n = 40000;
+    const Scenario s = harbor_scenario(n, kBenchSeed);
+    const ContourQuery query = default_query(s.field, 32);
+    const std::vector<IsolineReport> reports = round_reports(s, query);
+    const InNetworkFilter filter = InNetworkFilter::from_query(query);
+    std::vector<char> on_path(static_cast<std::size_t>(n), 0);
+    for (const IsolineReport& r : reports)
+      for (int v = r.source; v >= 0 && !on_path[static_cast<std::size_t>(v)];
+           v = s.tree.parent(v))
+        on_path[static_cast<std::size_t>(v)] = 1;
+    std::vector<int> hops;  // Senders, in post-order.
+    for (const int u : s.tree.post_order())
+      if (u != s.tree.sink() && on_path[static_cast<std::size_t>(u)])
+        hops.push_back(u);
+
+    const auto walk = [&](double& ops) {
+      std::vector<std::vector<IsolineReport>> held(static_cast<std::size_t>(n));
+      for (const IsolineReport& r : reports)
+        held[static_cast<std::size_t>(r.source)].push_back(r);
+      for (const int u : hops) {
+        auto& from = held[static_cast<std::size_t>(u)];
+        oracle::merge_bucket_walk(
+            filter, held[static_cast<std::size_t>(s.tree.parent(u))], from,
+            &ops);
+        from.clear();
+      }
+      std::vector<long long> ids;
+      for (const IsolineReport& r : held[static_cast<std::size_t>(s.tree.sink())])
+        ids.push_back(r.id);
+      return ids;
+    };
+    const auto indexed = [&](double& ops) {
+      FilterIndex index(reports);
+      RoundArena arena;
+      std::vector<KeptSet> held;
+      held.reserve(static_cast<std::size_t>(n));
+      for (int v = 0; v < n; ++v) held.emplace_back(arena);
+      for (int id = 0; id < static_cast<int>(reports.size()); ++id)
+        index.keep(held[static_cast<std::size_t>(
+                       reports[static_cast<std::size_t>(id)].source)],
+                   id);
+      for (const int u : hops) {
+        KeptSet& from = held[static_cast<std::size_t>(u)];
+        filter.merge(index, held[static_cast<std::size_t>(s.tree.parent(u))],
+                     from.ids(), &ops);
+        from.clear();
+      }
+      const std::span<const int> kept =
+          held[static_cast<std::size_t>(s.tree.sink())].ids();
+      return std::vector<long long>(kept.begin(), kept.end());
+    };
+    double want_ops = 0.0, got_ops = 0.0;
+    if (walk(want_ops) != indexed(got_ops) ||
+        std::bit_cast<std::uint64_t>(want_ops) !=
+            std::bit_cast<std::uint64_t>(got_ops)) {
+      std::cerr << "[micro_hotpaths] filter_merge mismatch at n = " << n
+                << "\n";
+      return 1;
+    }
+    volatile std::size_t sink = 0;
+    const double walk_ms = best_ms(5, [&] {
+      double ops = 0.0;
+      sink = walk(ops).size();
+    });
+    const double index_ms = best_ms(5, [&] {
+      double ops = 0.0;
+      sink = indexed(ops).size();
+    });
+    table.row()
+        .cell("filter_merge")
+        .cell(n)
+        .cell(walk_ms, 2)
+        .cell(index_ms, 2)
+        .cell(walk_ms / index_ms, 1);
   }
 
   emit_table("micro_hotpaths", title, table);

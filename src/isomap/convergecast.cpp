@@ -12,30 +12,28 @@
 namespace isomap {
 namespace {
 
-using ReportVec = std::vector<IsolineReport, ArenaAlloc<IsolineReport>>;
-
-/// Report buffers for the nodes a round's reports pass through: a
-/// node -> slot index in front of arena-backed vectors. Slots live in a
-/// deque, so a reference to one stays valid while another is created
+/// Inboxes for the nodes a round's reports pass through: a node -> slot
+/// index in front of arena-backed kept sets of report indices. Slots live
+/// in a deque, so a reference to one stays valid while another is created
 /// (a sender's batch while its parent's slot is added).
 class ReportSlots {
  public:
   explicit ReportSlots(int n) : slot_of_(static_cast<std::size_t>(n), -1) {}
 
-  ReportVec* find(int node) {
+  KeptSet* find(int node) {
     const int s = slot_of_[static_cast<std::size_t>(node)];
-    return s < 0 ? nullptr : &buffers_[static_cast<std::size_t>(s)];
+    return s < 0 ? nullptr : &inboxes_[static_cast<std::size_t>(s)];
   }
 
-  /// `node`'s buffer, created empty on first use.
-  ReportVec& get(int node) {
+  /// `node`'s inbox, created empty on first use.
+  KeptSet& get(int node) {
     int& s = slot_of_[static_cast<std::size_t>(node)];
     if (s < 0) {
-      s = static_cast<int>(buffers_.size());
-      buffers_.emplace_back(ArenaAlloc<IsolineReport>(arena_));
+      s = static_cast<int>(inboxes_.size());
+      inboxes_.emplace_back(arena_);
       nodes_.push_back(node);
     }
-    return buffers_[static_cast<std::size_t>(s)];
+    return inboxes_[static_cast<std::size_t>(s)];
   }
 
   /// Nodes that own a slot, in slot-creation order.
@@ -44,7 +42,7 @@ class ReportSlots {
  private:
   RoundArena arena_;
   std::vector<int> slot_of_;
-  std::deque<ReportVec> buffers_;
+  std::deque<KeptSet> inboxes_;
   std::vector<int> nodes_;
 };
 
@@ -57,9 +55,20 @@ class Convergecast {
         channel_(channel),
         ledger_(ledger),
         options_(options),
+        table_(generated.begin(), generated.end()),
         slots_(tree.size()),
         level_bottleneck_(static_cast<std::size_t>(tree.depth()) + 1, 0.0) {
-    for (const IsolineReport& r : generated) slots_.get(r.source).push_back(r);
+    // Reports stay in table_ for the whole round; inboxes and hops move
+    // their indices. With the filter on, every inbox is chained through
+    // one index, a source's own reports included (unfiltered).
+    if (options_.filter != nullptr) index_.emplace(table_);
+    for (int id = 0; id < static_cast<int>(table_.size()); ++id) {
+      KeptSet& slot = slots_.get(table_[static_cast<std::size_t>(id)].source);
+      if (index_)
+        index_->keep(slot, id);
+      else
+        slot.append(std::span<const int>(&id, 1));
+    }
     if (channel_.impaired()) out_.latency_by_id.assign(generated.size(), 0.0);
     // Seed the telemetry hop map from the convergecast tree; repair()
     // refreshes it whenever the tree rewires mid-run.
@@ -90,7 +99,7 @@ class Convergecast {
       std::sort(frontier.begin(), frontier.end());
       parents.clear();
       for (int u : frontier) {
-        ReportVec& outgoing = *slots_.find(u);
+        KeptSet& outgoing = *slots_.find(u);
         if (outgoing.empty()) continue;
         const int p = route.parent(u);
         if (slots_.find(p) == nullptr) parents.push_back(p);
@@ -124,7 +133,7 @@ class Convergecast {
       const std::vector<int> died = injector.advance(progress);
       if (died.empty()) return 0;
       for (int c : died)
-        if (ReportVec* stranded = slots_.find(c)) lose_crash(*stranded, c);
+        if (KeptSet* stranded = slots_.find(c)) lose_crash(*stranded, c);
       if (!faults.self_healing) return 0;
       const obs::PhaseTimer repair_timer(obs::kPhaseRepair);
       const RoutingTree::RepairReport rep =
@@ -152,7 +161,7 @@ class Convergecast {
           moved = true;
         units_done += 1.0;
         if (!injector.alive(u)) continue;  // Died; buffer already lost.
-        ReportVec* outgoing = slots_.find(u);
+        KeptSet* outgoing = slots_.find(u);
         if (outgoing == nullptr || outgoing->empty()) continue;
         if (!healed.reachable(u)) continue;  // Orphan: swept in finish().
         const int p = healed.parent(u);
@@ -172,7 +181,8 @@ class Convergecast {
 
   /// Account every report still held below the sink (orphans the repair
   /// could not re-attach, sources off the tree) as a crash loss, in
-  /// ascending node order, and hand over the sink's buffer.
+  /// ascending node order, and hand over the sink's reports in arrival
+  /// order.
   ConvergecastResult finish() {
     const int sink = route_->sink();
     std::vector<int> stuck;
@@ -180,18 +190,21 @@ class Convergecast {
       if (v != sink && !slots_.find(v)->empty()) stuck.push_back(v);
     std::sort(stuck.begin(), stuck.end());
     for (int v : stuck) lose_crash(*slots_.find(v), v);
-    if (const ReportVec* at_sink = slots_.find(sink))
-      out_.sink_reports.assign(at_sink->begin(), at_sink->end());
+    if (const KeptSet* at_sink = slots_.find(sink)) {
+      out_.sink_reports.reserve(at_sink->size());
+      for (const int id : at_sink->ids())
+        out_.sink_reports.push_back(table_[static_cast<std::size_t>(id)]);
+    }
     for (double slot : level_bottleneck_) out_.bottleneck_bytes += slot;
     return std::move(out_);
   }
 
  private:
   /// The one per-hop body: u sends its whole batch to p in one channel
-  /// transfer. On delivery every report advances one hop into p's buffer
+  /// transfer. On delivery every report advances one hop into p's inbox
   /// (through the filter when on); otherwise the batch is lost. Leaves
   /// `outgoing` empty.
-  void hop(int u, int p, ReportVec& outgoing, ReportVec& inbox) {
+  void hop(int u, int p, KeptSet& outgoing, KeptSet& inbox) {
     const int level = route_->level(u);
     const double bytes =
         static_cast<double>(outgoing.size()) * IsolineReport::kWireBytes +
@@ -204,7 +217,8 @@ class Convergecast {
     if (options_.record_transmissions)
       out_.transmissions.push_back({u, p, bytes, level});
     if (!transfer.delivered) {
-      for (const IsolineReport& r : outgoing) {
+      for (const int id : outgoing.ids()) {
+        const IsolineReport& r = table_[static_cast<std::size_t>(id)];
         if (tel_ != nullptr) tel_->count_lost_channel(r.source);
         emit_loss(r, u, p);
       }
@@ -212,12 +226,12 @@ class Convergecast {
       outgoing.clear();
       return;
     }
-    // Advance each report one hop before handing the batch on, so the
-    // copies the filter keeps in the parent's inbox already carry the
-    // incremented hop count. Relay credit goes to the forwarding node
+    // Advance each report one hop in the table; the batch then moves to
+    // the parent as indices. Relay credit goes to the forwarding node
     // (not the source re-sending its own report at hop 1).
     const bool impaired = channel_.impaired();
-    for (IsolineReport& r : outgoing) {
+    for (const int id : outgoing.ids()) {
+      IsolineReport& r = table_[static_cast<std::size_t>(id)];
       ++r.hops;
       if (impaired)
         out_.latency_by_id[static_cast<std::size_t>(r.id)] +=
@@ -243,20 +257,21 @@ class Convergecast {
       const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
       const std::size_t kept_before = inbox.size();
       double ops = 0.0;
-      options_.filter->merge(inbox, outgoing, &ops, p);
+      options_.filter->merge(*index_, inbox, outgoing.ids(), &ops, p);
       ledger_.compute(p, ops);
       out_.filtered +=
           static_cast<int>(outgoing.size() - (inbox.size() - kept_before));
     } else {
-      inbox.insert(inbox.end(), outgoing.begin(), outgoing.end());
+      inbox.append(outgoing.ids());
     }
     outgoing.clear();
   }
 
   /// Reports that die in place at `at` (a crash, a dead next hop, an
   /// orphan): counted, traced and dropped.
-  void lose_crash(ReportVec& batch, int at) {
-    for (const IsolineReport& r : batch) {
+  void lose_crash(KeptSet& batch, int at) {
+    for (const int id : batch.ids()) {
+      const IsolineReport& r = table_[static_cast<std::size_t>(id)];
       if (tel_ != nullptr) tel_->count_lost_crash(r.source);
       emit_loss(r, at, -1);
     }
@@ -290,6 +305,8 @@ class Convergecast {
   // id) so the full source->relays->sink path reconstructs from the trace.
   obs::NodeTelemetry* const tel_ = obs::telemetry();
   obs::TraceSink* const span_sink_ = obs::trace();
+  std::vector<IsolineReport> table_;  ///< The round's reports, by index.
+  std::optional<FilterIndex> index_;  ///< Only with the filter on.
   ReportSlots slots_;
   std::vector<double> level_bottleneck_;
   ConvergecastResult out_;

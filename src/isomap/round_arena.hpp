@@ -7,9 +7,11 @@
 namespace isomap {
 
 /// Monotonic bump allocator scoped to one protocol round. The convergecast
-/// (isomap/convergecast.cpp) keeps one report vector for each node on a
-/// report path, thousands of small vectors at 10^6 nodes; the arena backs
-/// them all so none costs a heap allocation. It hands out memory from large
+/// (isomap/convergecast.cpp) keeps the round's reports in one table and
+/// gives each node on a report path an inbox of 4-byte indices into it,
+/// with the filter's per-level chain heads (isomap/filter.hpp KeptSet):
+/// thousands of small vectors at 10^6 nodes. The arena backs them all so
+/// none costs a heap allocation. It hands out memory from large
 /// blocks with a pointer bump, never frees individual allocations, and
 /// releases everything at once when destroyed (or rewound with reset()
 /// between rounds).

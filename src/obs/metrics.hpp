@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -94,8 +95,13 @@ class MetricsRegistry {
   void set(const std::string& name, double value) { gauges_[name] = value; }
 
   /// Histogram: record one sample (bounded reservoir — see Histogram).
-  void observe(const std::string& name, double value) {
-    histograms_[name].record(value);
+  /// The lookup takes the name as a view, so a caller can build it on
+  /// the stack; only a histogram's first sample copies the name.
+  void observe(std::string_view name, double value) {
+    auto it = histograms_.find(name);
+    if (it == histograms_.end())
+      it = histograms_.emplace(std::string(name), Histogram{}).first;
+    it->second.record(value);
   }
 
   /// Stable references to a counter's / histogram's storage, for hot
@@ -128,7 +134,8 @@ class MetricsRegistry {
  private:
   std::map<std::string, double> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  /// Transparent comparator: observe() finds a histogram by string_view.
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Compute a snapshot from raw samples (exposed for tests).

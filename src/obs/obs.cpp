@@ -1,6 +1,8 @@
 #include "obs/obs.hpp"
 
+#include <cstring>
 #include <string>
+#include <string_view>
 
 namespace isomap::obs {
 
@@ -46,8 +48,25 @@ double PhaseTimer::stop() {
   ctx.phase = prev_phase_;
   if (ctx.metrics != nullptr) {
     // One histogram per phase label: repeated timers (e.g. one filter
-    // merge per convergecast hop) aggregate into count/p50/p95.
-    ctx.metrics->observe("phase." + std::string(phase_) + ".seconds", elapsed);
+    // merge per convergecast hop) aggregate into count/p50/p95. The name
+    // is built on the stack, so a per-hop timer costs no allocation.
+    constexpr std::string_view kPrefix = "phase.", kSuffix = ".seconds";
+    const std::string_view label(phase_);
+    char name[96];
+    if (kPrefix.size() + label.size() + kSuffix.size() <= sizeof name) {
+      char* end = name;
+      for (const std::string_view part : {kPrefix, label, kSuffix}) {
+        std::memcpy(end, part.data(), part.size());
+        end += part.size();
+      }
+      ctx.metrics->observe(
+          std::string_view(name, static_cast<std::size_t>(end - name)),
+          elapsed);
+    } else {
+      ctx.metrics->observe(
+          std::string(kPrefix) + std::string(label) + std::string(kSuffix),
+          elapsed);
+    }
   }
   if (ctx.trace != nullptr) {
     TraceEvent event;

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "isomap/filter.hpp"
+#include "obs/obs.hpp"
+#include "obs/trace.hpp"
+#include "oracles/filter_bucket_walk.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -88,12 +97,121 @@ TEST(Filter, KeptSetHasNoRedundantPair) {
 
 TEST(Filter, MergeAccumulatesOps) {
   const InNetworkFilter filter(30.0, 4.0);
-  std::vector<IsolineReport> kept{report(10.0, {0, 0}, 0.0)};
+  const std::vector<IsolineReport> table{report(10.0, {0, 0}, 0.0),
+                                         report(10.0, {10, 0}, 0.0),
+                                         report(10.0, {20, 0}, 0.0)};
+  FilterIndex index(table);
+  RoundArena arena;
+  KeptSet kept(arena);
+  index.keep(kept, 0);
   double ops = 0.0;
-  filter.merge(kept, {report(10.0, {10, 0}, 0.0)}, &ops);
+  const int second = 1, third = 2;
+  filter.merge(index, kept, std::span<const int>(&second, 1), &ops);
   EXPECT_DOUBLE_EQ(ops, InNetworkFilter::kOpsPerComparison);
-  filter.merge(kept, {report(10.0, {20, 0}, 0.0)}, &ops);
+  filter.merge(index, kept, std::span<const int>(&third, 1), &ops);
   EXPECT_DOUBLE_EQ(ops, 3 * InNetworkFilter::kOpsPerComparison);
+  EXPECT_EQ(kept.size(), 3u);
+}
+
+// Seeded differential test of the filter index against the bucket-walk
+// oracle (tests/oracles/filter_bucket_walk.hpp). Reports start at random
+// nodes and move node to node in random merges, as in a convergecast:
+// every merge must keep the same reports in the same order, charge the
+// same ops bit for bit and emit the same drop events. Positions sit on
+// a coarse grid (duplicates), levels come from a pool with -0.0, 0.0 and
+// NaN among many distinct ones.
+TEST(Filter, IndexMergeMatchesBucketWalk) {
+  const InNetworkFilter filter(40.0, 2.0);
+  std::vector<double> pool{0.0, -0.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (int l = 1; l <= 40; ++l) pool.push_back(0.25 * l);
+  constexpr std::size_t kNodes = 6;
+  std::size_t drops = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(n));
+    };
+    // Few levels for some seeds (long chains), the whole pool for others.
+    const std::size_t levels = seed % 2 == 0 ? 4 : pool.size();
+    std::vector<IsolineReport> table;
+    std::vector<std::size_t> home;
+    for (int i = 0; i < 400; ++i) {
+      IsolineReport r = report(pool[pick(levels)],
+                               {static_cast<double>(pick(6)),
+                                static_cast<double>(pick(6))},
+                               15.0 * static_cast<double>(pick(6)));
+      r.source = i;
+      r.id = i;
+      table.push_back(r);
+      home.push_back(pick(kNodes));
+    }
+
+    FilterIndex index(table);
+    RoundArena arena;
+    std::vector<KeptSet> got;
+    std::vector<std::vector<IsolineReport>> want(kNodes);
+    for (std::size_t v = 0; v < kNodes; ++v) got.emplace_back(arena);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      index.keep(got[home[i]], static_cast<int>(i));
+      want[home[i]].push_back(table[i]);
+    }
+
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE(step);
+      const std::size_t u = pick(kNodes);
+      const std::size_t p = (u + 1 + pick(kNodes - 1)) % kNodes;
+      std::ostringstream got_trace, want_trace;
+      double got_ops = 0.0, want_ops = 0.0;
+      drops += got[p].size() + got[u].size();
+      {
+        obs::TraceSink sink(got_trace);
+        const obs::ObsScope scope(nullptr, &sink);
+        filter.merge(index, got[p], got[u].ids(), &got_ops,
+                     static_cast<int>(p));
+        sink.flush();
+      }
+      {
+        obs::TraceSink sink(want_trace);
+        const obs::ObsScope scope(nullptr, &sink);
+        oracle::merge_bucket_walk(filter, want[p], want[u], &want_ops,
+                                  static_cast<int>(p));
+        sink.flush();
+      }
+      got[u].clear();
+      want[u].clear();
+      drops -= got[p].size();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got_ops),
+                std::bit_cast<std::uint64_t>(want_ops));
+      ASSERT_EQ(got_trace.str(), want_trace.str());
+      ASSERT_EQ(got[p].size(), want[p].size());
+      for (std::size_t i = 0; i < want[p].size(); ++i)
+        ASSERT_EQ(got[p].ids()[i], want[p][i].id) << "position " << i;
+    }
+  }
+  EXPECT_GT(drops, 500u);  // The filter bites: the walks are not trivial.
+}
+
+TEST(Filter, SignedZeroLevelsShareAChainAndNaNNeverMatches) {
+  const InNetworkFilter filter(30.0, 4.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<IsolineReport> table{
+      report(0.0, {0, 0}, 0.0), report(-0.0, {1, 0}, 0.0),
+      report(nan, {0, 0}, 0.0), report(nan, {0, 0}, 0.0)};
+  FilterIndex index(table);
+  RoundArena arena;
+  KeptSet kept(arena);
+  const std::vector<int> all{0, 1, 2, 3};
+  double ops = 0.0;
+  filter.merge(index, kept, all, &ops);
+  // -0.0 == 0.0 drops report 1 against position 0; the NaN reports are
+  // kept (at sizes 1 and 2) without a comparison that could match.
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept.ids()[0], 0);
+  EXPECT_EQ(kept.ids()[1], 2);
+  EXPECT_EQ(kept.ids()[2], 3);
+  EXPECT_DOUBLE_EQ(ops, (0 + 1 + 1 + 2) * InNetworkFilter::kOpsPerComparison);
 }
 
 TEST(Filter, FromQueryUsesQueryThresholds) {

@@ -106,6 +106,32 @@ TEST(PhaseTimerTest, NestingRestoresOuterPhase) {
   EXPECT_EQ(sink.events(), 2u);  // one "phase" event per timer
 }
 
+TEST(PhaseTimerTest, OneHistogramPerLabelText) {
+  MetricsRegistry m;
+  const std::string same_text(kPhaseFilter);  // Equal text, own address.
+  const std::string long_label(200, 'x');     // Longer than any stack key.
+  {
+    ObsScope scope(&m, nullptr);
+    for (int i = 0; i < 7; ++i) PhaseTimer timer(kPhaseFilter);
+    { PhaseTimer timer(same_text.c_str()); }
+    { PhaseTimer timer(long_label.c_str()); }
+  }
+  EXPECT_EQ(m.histogram("phase.filter.seconds").count, 8u);
+  EXPECT_EQ(m.histogram("phase." + long_label + ".seconds").count, 1u);
+  EXPECT_EQ(m.histogram_snapshots().size(), 2u);
+
+  // A copy records into its own histograms, also once the original is
+  // cleared.
+  MetricsRegistry copy = m;
+  m.clear();
+  {
+    ObsScope scope(&copy, nullptr);
+    PhaseTimer timer(kPhaseFilter);
+  }
+  EXPECT_EQ(copy.histogram("phase.filter.seconds").count, 9u);
+  EXPECT_EQ(m.histogram("phase.filter.seconds").count, 0u);
+}
+
 TEST(TraceSinkTest, JsonlRoundTrip) {
   std::ostringstream out;
   TraceSink sink(out);

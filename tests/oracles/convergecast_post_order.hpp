@@ -3,7 +3,9 @@
 // Oracle for convergecast (src/isomap/convergecast.hpp) on a static tree:
 // the level frontier must reproduce this walk's sink reports, counters,
 // ledger charges, channel draws, transmission log, latencies and trace
-// events exactly.
+// events exactly. Filter merges run through the bucket-walk oracle
+// (oracles/filter_bucket_walk.hpp), so the walk and the filter index are
+// both checked against an independent reference.
 
 #include <algorithm>
 #include <span>
@@ -13,6 +15,7 @@
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "oracles/filter_bucket_walk.hpp"
 
 namespace isomap::oracle {
 
@@ -88,7 +91,7 @@ inline ConvergecastResult convergecast_post_order(
         const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
         const std::size_t kept_before = inbox.size();
         double ops = 0.0;
-        options.filter->merge(inbox, outgoing, &ops, p);
+        merge_bucket_walk(*options.filter, inbox, outgoing, &ops, p);
         ledger.compute(p, ops);
         out.filtered += static_cast<int>(outgoing.size() -
                                          (inbox.size() - kept_before));

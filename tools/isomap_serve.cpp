@@ -23,6 +23,8 @@
 //                                            the enqueued batch in order
 //   {"cmd":"stats"}                          print the service summary
 //   {"cmd":"quit"}  (or EOF)                 flush and exit
+// A line longer than 64 KiB is answered {"error":"request line too long"}
+// and skipped through its newline.
 //
 // Exit codes (deterministic, asserted by the CI service-smoke job):
 //   0  success
@@ -47,6 +49,27 @@
 using namespace isomap;
 
 namespace {
+
+/// Longest request line `serve` reads, newline excluded.
+constexpr std::size_t kMaxRequestLine = std::size_t{64} << 10;
+
+/// Read the next line of `in` into `line` like std::getline, but keep at
+/// most kMaxRequestLine bytes: a longer line is skipped through its
+/// newline and `too_long` set. False at end of input.
+bool read_request_line(std::istream& in, std::string& line, bool& too_long) {
+  using traits = std::char_traits<char>;
+  line.clear();
+  too_long = false;
+  std::streambuf& buf = *in.rdbuf();
+  for (int c = buf.sbumpc();; c = buf.sbumpc()) {
+    if (traits::eq_int_type(c, traits::eof())) return !line.empty() || too_long;
+    if (c == '\n') return true;
+    if (line.size() < kMaxRequestLine)
+      line.push_back(traits::to_char_type(c));
+    else
+      too_long = true;
+  }
+}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -167,7 +190,12 @@ int serve_mode(serve::ServiceScenario scenario) {
   };
 
   std::string line;
-  while (std::getline(std::cin, line)) {
+  bool too_long = false;
+  while (read_request_line(std::cin, line, too_long)) {
+    if (too_long) {
+      std::cout << "{\"error\":\"request line too long\"}\n";
+      continue;
+    }
     if (line.empty()) continue;
     const auto doc = JsonValue::parse(line);
     if (!doc || !doc->is_object()) {
