@@ -62,6 +62,21 @@ double GaussianField::value(Vec2 p) const {
   return v;
 }
 
+double GaussianField::value_with_prefix(Vec2 p, std::size_t k,
+                                        double& prefix) const {
+  // value()'s running sum, in value()'s order, also read after bump k:
+  // reading it changes no addition, so no bit.
+  double v = base_ + trend_.dot(p);
+  const auto add_bumps = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i)
+      v += bump_value(bumps_[i], trig_[i].c, trig_[i].s, p);
+  };
+  add_bumps(0, k);
+  prefix = v;
+  add_bumps(k, bumps_.size());
+  return v;
+}
+
 Vec2 GaussianField::gradient(Vec2 p) const {
   Vec2 g = trend_;
   for (std::size_t i = 0; i < bumps_.size(); ++i) {

@@ -36,6 +36,13 @@ class GaussianField final : public ScalarField {
   Vec2 gradient(Vec2 p) const override;
   FieldBounds bounds() const override { return bounds_; }
 
+  /// value(p), which also stores in `prefix` the running sum after the
+  /// first `k` bumps (requires k <= bumps().size()): bit for bit the
+  /// value of a field with the same base and trend and only those k
+  /// bumps. It adds in value()'s order; value() keeps its own loop so
+  /// that plain sensing pays nothing for the split.
+  double value_with_prefix(Vec2 p, std::size_t k, double& prefix) const;
+
   const std::vector<GaussianBump>& bumps() const { return bumps_; }
   double base() const { return base_; }
   Vec2 trend() const { return trend_; }

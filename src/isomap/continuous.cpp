@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,16 @@
 namespace isomap {
 namespace {
 
+/// Nodes per parallel block of mark_dirty's passes.
+constexpr std::size_t kMarkDirtyBlock = 4096;
+/// Nodes per parallel block of the round's refit pre-pass.
+constexpr std::size_t kRefitBlock = 64;
+
+/// mark_dirty's per-node delta flags.
+constexpr std::uint8_t kReadingChanged = 1;  ///< Reading bits changed.
+constexpr std::uint8_t kRankChanged = 2;     ///< level_rank changed.
+constexpr std::uint8_t kOwnMatters = 4;      ///< Own Def. 3.1 inputs changed.
+
 /// Bit-pattern equality: the incremental engine's notion of "unchanged".
 /// Stricter than `==` (distinguishes +0.0 from -0.0), so a cached result
 /// is only ever reused when a recomputation would consume the exact same
@@ -25,6 +36,24 @@ inline std::uint64_t double_bits(double v) {
 }
 inline bool bits_equal(double a, double b) {
   return double_bits(a) == double_bits(b);
+}
+
+/// True when some level's ε-band candidacy differs between the two
+/// readings. It can only flip near the band edges, so it is compared over
+/// the union of both readings' conservative windows (one extra level on
+/// each side, matching evaluate_node_selection's widening).
+bool candidacy_changed(const std::vector<double>& levels, double old_v,
+                       double new_v, double eps) {
+  auto lo = std::lower_bound(levels.begin(), levels.end(),
+                             std::min(old_v, new_v) - eps);
+  auto hi = std::upper_bound(levels.begin(), levels.end(),
+                             std::max(old_v, new_v) + eps);
+  if (lo != levels.begin()) --lo;
+  if (hi != levels.end()) ++hi;
+  for (auto it = lo; it != hi; ++it)
+    if (is_candidate(old_v, *it, eps) != is_candidate(new_v, *it, eps))
+      return true;
+  return false;
 }
 
 bool report_equal(const IsolineReport& a, const IsolineReport& b) {
@@ -111,7 +140,7 @@ void ContinuousMapper::ensure_tables() {
     selection_cache_.assign(n, SelectionCache{});
     fit_cache_.assign(n, FitCache{});
     prev_readings_.assign(n, 0.0);
-    selection_dirty_.assign(n, 1);
+    delta_flags_.assign(n, 0);
     grad_round_.assign(n, -1);
     grad_value_.assign(n, Vec2{});
     selected_nodes_.clear();
@@ -134,74 +163,94 @@ int ContinuousMapper::level_index_of(double lambda) const {
 
 double ContinuousMapper::route_bytes(int from, double bytes,
                                      Ledger& ledger) const {
-  const auto path = tree_->path_to_sink(from);
+  // Walk the parent chain: the hops path_to_sink lists, in its order,
+  // without building the list. An unreachable node has no parent, so it
+  // routes nothing, as its empty path did.
   double total = 0.0;
-  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-    ledger.transmit(path[h], path[h + 1], bytes);
+  for (int u = from, up = tree_->parent(u); up != -1;
+       u = up, up = tree_->parent(u)) {
+    ledger.transmit(u, up, bytes);
     total += bytes;
   }
   return total;
 }
 
 int ContinuousMapper::mark_dirty(const std::vector<double>& readings) {
-  const int n = deployment_->size();
-  dirty_list_.clear();
+  const auto n = static_cast<std::size_t>(deployment_->size());
+  const TileBlocks blocks{n, kMarkDirtyBlock};
+  block_dirty_.resize(blocks.count());
   if (!caches_primed_) {
-    std::fill(selection_dirty_.begin(), selection_dirty_.end(), char{1});
-    for (auto& fc : fit_cache_) fc.valid = false;
-    for (int v = 0; v < n; ++v) {
-      rank_cache_[static_cast<std::size_t>(v)] =
-          level_rank(isolevels_, readings[static_cast<std::size_t>(v)]);
-      if (graph_->alive(v)) dirty_list_.push_back(v);
-    }
-    return static_cast<int>(dirty_list_.size());
+    exec::parallel_for_blocks(
+        blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
+          std::vector<int>& out = block_dirty_[b];
+          out.clear();
+          for (std::size_t u = begin; u < end; ++u) {
+            rank_cache_[u] = level_rank(isolevels_, readings[u]);
+            fit_cache_[u].valid = false;
+            if (graph_->alive(static_cast<int>(u)))
+              out.push_back(static_cast<int>(u));
+          }
+        });
+  } else {
+    const double eps = options_.base.query.epsilon();
+    // Pass 1: each node's own delta flags, from its old and new reading.
+    exec::parallel_for_blocks(blocks, [&](std::size_t, std::size_t begin,
+                                          std::size_t end) {
+      for (std::size_t u = begin; u < end; ++u) {
+        const double old_v = prev_readings_[u];
+        const double new_v = readings[u];
+        if (bits_equal(old_v, new_v)) {
+          delta_flags_[u] = 0;
+          continue;
+        }
+        // Any bitwise change invalidates the regression fits the reading
+        // feeds: its own and every 1-hop neighbour's.
+        std::uint8_t flags = kReadingChanged;
+        // Selection is coarser. Definition 3.1 consumes a reading only
+        // through (a) its <,== relations to each level — the crossing
+        // predicate, for the node itself and for each neighbour — and
+        // (b) the node's own ε-band membership per level. A change that
+        // alters neither relation set cannot change any admitted entry,
+        // candidate count or modelled op charge.
+        const auto new_rank = level_rank(isolevels_, new_v);
+        if (rank_cache_[u] != new_rank)
+          flags |= kRankChanged | kOwnMatters;
+        else if (candidacy_changed(isolevels_, old_v, new_v, eps))
+          flags |= kOwnMatters;
+        rank_cache_[u] = new_rank;
+        delta_flags_[u] = flags;
+      }
+    });
+    // Pass 2: each node pulls its neighbours' flags. A neighbour's change
+    // stales u's fit; a neighbour's rank change can flip u's crossing
+    // predicate. Pulling over N(u) sees exactly what pushing over N(v)
+    // would, because CommGraph adjacency is symmetric; every write is to
+    // u's own slot.
+    exec::parallel_for_blocks(
+        blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
+          std::vector<int>& out = block_dirty_[b];
+          out.clear();
+          for (std::size_t u = begin; u < end; ++u) {
+            const int v = static_cast<int>(u);
+            const std::uint8_t own = delta_flags_[u];
+            bool fit_stale = (own & kReadingChanged) != 0;
+            bool dirty = (own & kOwnMatters) != 0;
+            for (const int nb : graph_->neighbour_span(v)) {
+              if (fit_stale && dirty) break;
+              const std::uint8_t f = delta_flags_[static_cast<std::size_t>(nb)];
+              fit_stale = fit_stale || (f & kReadingChanged) != 0;
+              dirty = dirty || (f & kRankChanged) != 0;
+            }
+            if (fit_stale) fit_cache_[u].valid = false;
+            if (dirty && graph_->alive(v)) out.push_back(v);
+          }
+        });
   }
-  const double eps = options_.base.query.epsilon();
-  std::fill(selection_dirty_.begin(), selection_dirty_.end(), char{0});
-  for (int v = 0; v < n; ++v) {
-    const auto u = static_cast<std::size_t>(v);
-    const double old_v = prev_readings_[u];
-    const double new_v = readings[u];
-    if (bits_equal(old_v, new_v)) continue;
-    // Any bitwise change invalidates the regression fits the reading
-    // feeds: its own and every 1-hop neighbour's.
-    fit_cache_[u].valid = false;
-    for (int nb : graph_->neighbour_span(v))
-      fit_cache_[static_cast<std::size_t>(nb)].valid = false;
-    // Selection is coarser. Definition 3.1 consumes a reading only
-    // through (a) its <,== relations to each level — the crossing
-    // predicate, for the node itself and for each neighbour — and
-    // (b) the node's own ε-band membership per level. A change that
-    // alters neither relation set cannot change any admitted entry,
-    // candidate count or modelled op charge.
-    const auto new_rank = level_rank(isolevels_, new_v);
-    const bool rank_changed = rank_cache_[u] != new_rank;
-    rank_cache_[u] = new_rank;
-    bool own_matters = rank_changed;
-    if (!own_matters) {
-      // Candidacy can only flip near the band edges: compare it over the
-      // union of both readings' conservative windows (one extra level on
-      // each side, matching evaluate_node_selection's widening).
-      const double lo_v = std::min(old_v, new_v);
-      const double hi_v = std::max(old_v, new_v);
-      auto lo = std::lower_bound(isolevels_.begin(), isolevels_.end(),
-                                 lo_v - eps);
-      auto hi = std::upper_bound(isolevels_.begin(), isolevels_.end(),
-                                 hi_v + eps);
-      if (lo != isolevels_.begin()) --lo;
-      if (hi != isolevels_.end()) ++hi;
-      for (auto it = lo; it != hi && !own_matters; ++it)
-        own_matters = is_candidate(old_v, *it, eps) !=
-                      is_candidate(new_v, *it, eps);
-    }
-    if (own_matters) selection_dirty_[u] = 1;
-    if (rank_changed)
-      for (int nb : graph_->neighbour_span(v))
-        selection_dirty_[static_cast<std::size_t>(nb)] = 1;
-  }
-  for (int v = 0; v < n; ++v)
-    if (selection_dirty_[static_cast<std::size_t>(v)] && graph_->alive(v))
-      dirty_list_.push_back(v);
+  // Blocks partition the ascending node range, so their lists concatenated
+  // in block order ascend.
+  dirty_list_.clear();
+  for (const std::vector<int>& out : block_dirty_)
+    dirty_list_.insert(dirty_list_.end(), out.begin(), out.end());
   return static_cast<int>(dirty_list_.size());
 }
 
@@ -224,65 +273,62 @@ void ContinuousMapper::replay_degenerate_metric() {
   *obs_slots_.degenerate += 1.0;
 }
 
-std::optional<Vec2> ContinuousMapper::gradient_for(
-    int node, const std::vector<double>& readings, Ledger& ledger) {
+void ContinuousMapper::prime_fit(int node) {
+  // Sample positions (own first, then neighbours ascending) and the
+  // position block of the sufficient statistics are fixed for this
+  // topology; build them once.
+  FitCache& fc = fit_cache_[static_cast<std::size_t>(node)];
+  const auto nbs = graph_->neighbour_span(node);
+  fc.samples.assign(3 * (nbs.size() + 1), 0.0);
+  const auto xs = fc.column(0), ys = fc.column(1);
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    const int v = k == 0 ? node : nbs[k - 1];
+    const Vec2 p = deployment_->node(v).reported_pos();
+    xs[k] = p.x;
+    ys[k] = p.y;
+  }
+  fc.pos_stats = plane_position_stats(xs, ys);
+  fc.primed = true;
+  fc.valid = false;
+}
+
+void ContinuousMapper::refit(int node, const std::vector<double>& readings) {
+  FitCache& fc = fit_cache_[static_cast<std::size_t>(node)];
+  // A sample reading changed: refresh the values in place and redo only
+  // the value block + solve. The cached position block is the bit-exact
+  // result of plane_position_stats over these positions, so the fit
+  // equals fit_plane_soa over the refreshed samples bit for bit.
+  const auto vs = fc.column(2);
+  vs[0] = readings[static_cast<std::size_t>(node)];
+  std::size_t i = 1;
+  for (int nb : graph_->neighbour_span(node))
+    vs[i++] = readings[static_cast<std::size_t>(nb)];
+  fc.ops = 0.0;
+  fc.has_fit = false;
+  if (vs.size() >= 3) {
+    const PlaneValueStats val =
+        plane_value_stats(fc.column(0), fc.column(1), vs, fc.pos_stats);
+    if (const auto fit = solve_plane(fc.pos_stats, val)) {
+      fc.has_fit = true;
+      fc.gradient = fit->descent_direction();
+      fc.ops = fit_plane_ops(vs.size());
+    }
+  }
+  fc.valid = true;
+}
+
+std::optional<Vec2> ContinuousMapper::gradient_for(int node, Ledger& ledger) {
   const auto u = static_cast<std::size_t>(node);
   if (grad_round_[u] == round_counter_) return grad_value_[u];
 
-  FitCache& fc = fit_cache_[u];
-  if (!fc.primed) {
-    // Sample positions (own first, then neighbours ascending) and the
-    // position block of the sufficient statistics are fixed for this
-    // topology; build them once.
-    const auto nbs = graph_->neighbour_span(node);
-    fc.samples.assign(3 * (nbs.size() + 1), 0.0);
-    const auto xs = fc.column(0), ys = fc.column(1);
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      const int v = k == 0 ? node : nbs[k - 1];
-      const Vec2 p = deployment_->node(v).reported_pos();
-      xs[k] = p.x;
-      ys[k] = p.y;
-    }
-    fc.pos_stats = plane_position_stats(xs, ys);
-    fc.primed = true;
-    fc.valid = false;
-  }
-  if (!fc.valid) {
-    // A sample reading changed: refresh the values in place and redo
-    // only the value block + solve. The cached position block is the
-    // bit-exact result of plane_position_stats over these positions, so
-    // the fit equals fit_plane_soa over the refreshed samples bit for bit.
-    const auto vs = fc.column(2);
-    vs[0] = readings[u];
-    std::size_t i = 1;
-    for (int nb : graph_->neighbour_span(node))
-      vs[i++] = readings[static_cast<std::size_t>(nb)];
-    replay_fit_metrics(vs.size());
-    fc.ops = 0.0;
-    fc.has_fit = false;
-    if (vs.size() < 3) {
-      replay_degenerate_metric();
-    } else {
-      const PlaneValueStats val =
-          plane_value_stats(fc.column(0), fc.column(1), vs, fc.pos_stats);
-      if (const auto fit = solve_plane(fc.pos_stats, val)) {
-        fc.has_fit = true;
-        fc.gradient = fit->descent_direction();
-        fc.ops = fit_plane_ops(vs.size());
-      } else {
-        replay_degenerate_metric();
-      }
-    }
-    fc.valid = true;
-    ledger.compute(node, fc.ops);
-  } else {
-    // Untouched neighbourhood: replay a fresh fit's instrumentation and
-    // ledger charge for the cached fit. (A degenerate node is replayed
-    // per selected entry, as a fresh refit per entry would charge.)
-    replay_fit_metrics(fc.size());
-    if (!fc.has_fit) replay_degenerate_metric();
-    ledger.compute(node, fc.ops);
-  }
+  const FitCache& fc = fit_cache_[u];
+  assert(fc.primed && fc.valid);
+  // Replay a fresh fit's instrumentation and ledger charge, whether the
+  // fit was redone this round or is reused. (A degenerate node is
+  // replayed per selected entry, as a fresh refit per entry would charge.)
+  replay_fit_metrics(fc.size());
+  if (!fc.has_fit) replay_degenerate_metric();
+  ledger.compute(node, fc.ops);
   if (!fc.has_fit) return std::nullopt;
   grad_round_[u] = round_counter_;
   grad_value_[u] = fc.gradient;
@@ -499,11 +545,34 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
 
   // --- Regression + delta generation for currently selected pairs. ---
   // One regression per distinct node per round (shared across levels).
+  // Stale fits are redone first, across the pool: each task writes only
+  // its node's FitCache, so the ordered loop below finds every fit
+  // current and makes its charges and metric emissions in entry order.
+  // `selected` ascends by node, so a node's entries are adjacent. Priming
+  // allocates, so it stays on this thread: sample buffers allocated on
+  // pool workers share their allocator arenas with the sink's level
+  // regions, and the map's point queries ran about 4% slower.
+  refit_nodes_.clear();
+  for (const SelectionEntry& entry : selected) {
+    const int v = entry.node;
+    const FitCache& fc = fit_cache_[static_cast<std::size_t>(v)];
+    if ((fc.primed && fc.valid) || !tree_->reachable(v) ||
+        (!refit_nodes_.empty() && refit_nodes_.back() == v))
+      continue;
+    if (!fc.primed) prime_fit(v);
+    refit_nodes_.push_back(v);
+  }
+  exec::parallel_for_blocks(
+      TileBlocks{refit_nodes_.size(), kRefitBlock},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          refit(refit_nodes_[i], readings);
+      });
   for (std::size_t si = 0; si < selected.size(); ++si) {
     const auto& entry = selected[si];
     if (!tree_->reachable(entry.node)) continue;
     const int level = selected_levels[si];
-    const auto gradient_opt = gradient_for(entry.node, readings, ledger);
+    const auto gradient_opt = gradient_for(entry.node, ledger);
     if (!gradient_opt) continue;
     const Vec2 gradient = *gradient_opt;
     const std::size_t key = slot(entry.node, level);

@@ -246,17 +246,28 @@ class ContinuousMapper {
   /// The cold caching policy calls this at the top of every round.
   void drop_caches();
 
-  /// Phase 1: compute the per-node selection dirty set and invalidate
-  /// fit caches from the bitwise reading deltas. Returns the number of
-  /// nodes that must re-evaluate Definition 3.1.
+  /// Phase 1: compute the per-node selection dirty set (dirty_list_)
+  /// and invalidate fit caches from the bitwise reading deltas, in two
+  /// parallel passes over node blocks: each node writes its own delta
+  /// flags, then pulls its neighbours'. Returns the number of nodes that
+  /// must re-evaluate Definition 3.1.
   int mark_dirty(const std::vector<double>& readings);
 
+  /// Build `node`'s fit cache for this topology: the sample positions
+  /// and the position block of their sufficient statistics. Allocates
+  /// the sample buffer; leaves the fit invalid.
+  void prime_fit(int node);
+
+  /// Refit a primed node from `readings`. Writes only that node's
+  /// FitCache and allocates nothing — no metrics, no ledger charge — so
+  /// the round's pre-pass runs it across the pool.
+  void refit(int node, const std::vector<double>& readings);
+
   /// Gradient for a selected node this round (memoised per round), from
-  /// the node's fit cache. Returns nullopt on a degenerate fit. Charges
-  /// the node's fit ops to `ledger` on every call, cached or not.
-  std::optional<Vec2> gradient_for(int node,
-                                   const std::vector<double>& readings,
-                                   Ledger& ledger);
+  /// the node's fit cache, which the round's pre-pass has primed and
+  /// refit. Returns nullopt on a degenerate fit. Replays the fit's
+  /// metrics and charges its ops to `ledger` on every call.
+  std::optional<Vec2> gradient_for(int node, Ledger& ledger);
 
   /// Replay a fresh fit's metric emissions ("regression.fits" +
   /// one "regression.samples" observation, or one
@@ -326,8 +337,10 @@ class ContinuousMapper {
   RegressionObsSlots obs_slots_;
 
   /// Per-round scratch (members to avoid per-round allocation).
-  std::vector<char> selection_dirty_;
+  std::vector<std::uint8_t> delta_flags_;     ///< mark_dirty's pass-1 flags.
+  std::vector<std::vector<int>> block_dirty_;  ///< Dirty nodes per block.
   std::vector<int> dirty_list_;  ///< Alive dirty nodes, ascending.
+  std::vector<int> refit_nodes_;  ///< Stale fits to redo, ascending.
   std::vector<MemorySlot> now_memory_;
   std::vector<std::size_t> now_keys_;  ///< Slots written this round.
   std::vector<int> grad_round_;   ///< Per-node round stamp of grad_value_.

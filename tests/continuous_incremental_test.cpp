@@ -286,6 +286,50 @@ std::vector<RoundCapture> run_bump_sequence(ContinuousEngine engine,
   return rounds;
 }
 
+/// A 6 400-node drifting harbor with a bump circling over it, for 6
+/// rounds: the deployment spans two of mark_dirty's 4 096-node blocks and
+/// the selected set spans many refit blocks, so the seams of the parallel
+/// passes are crossed. Rounds move the bump alone (a partial change: nodes
+/// whose reading held keep a neighbour whose reading moved, often in the
+/// other block), drift the whole field, and hold everything still.
+std::vector<RoundCapture> run_multi_block_sequence(ContinuousEngine engine,
+                                                   const RoundHook& hook) {
+  ScenarioConfig config;
+  config.num_nodes = 6400;
+  config.field_side = 80.0;
+  config.seed = 26;
+  const Scenario s = make_scenario(config);
+  const FieldBounds bounds = config.bounds();
+  const GaussianField before = harbor_bathymetry(bounds);
+  const GaussianField after = silted_harbor_bathymetry(bounds);
+  BlendedField drift(before, after, 0.0);
+  MovingBumpField field(drift, 14.0, 3.0);
+
+  ContinuousOptions opts;
+  opts.base.query = default_query(before, 6);
+  opts.stale_rounds = 4;
+  opts.gradient_refresh_deg = 5.0;
+  opts.engine = engine;
+
+  ContinuousMapper mapper(opts, s.deployment, s.graph, s.tree);
+  Ledger ledger(s.deployment.size());
+  // (alpha, bump angle) per round.
+  const std::pair<double, double> schedule[] = {
+      {0.0, 0.0}, {0.0, 0.6}, {0.15, 0.6}, {0.15, 0.6}, {0.3, 1.2}, {0.3, 1.8}};
+  std::vector<RoundCapture> rounds;
+  int r = 0;
+  for (const auto& [alpha, theta] : schedule) {
+    drift.set_alpha(alpha);
+    field.set_center(
+        {40.0 + 20.0 * std::cos(theta), 40.0 + 20.0 * std::sin(theta)});
+    rounds.push_back(observed_round(mapper, field, ledger));
+    ++r;
+    if (hook)
+      hook({mapper, opts, s.deployment, s.graph, field, r}, rounds.back());
+  }
+  return rounds;
+}
+
 /// The select-phase "note" lines of a stable trace.
 std::string select_notes(const std::string& jsonl) {
   const std::string prefix = std::string("{\"kind\":\"note\",\"phase\":\"") +
@@ -364,7 +408,9 @@ TEST(ContinuousIncremental, EveryRoundMatchesIndependentReferences) {
   using Sequence =
       std::vector<RoundCapture> (*)(ContinuousEngine, const RoundHook&);
   const std::pair<const char*, Sequence> sequences[] = {
-      {"drift", run_sequence}, {"bump", run_bump_sequence}};
+      {"drift", run_sequence},
+      {"bump", run_bump_sequence},
+      {"multi-block", run_multi_block_sequence}};
   for (const auto& [name, sequence] : sequences) {
     for (const ContinuousEngine engine :
          {ContinuousEngine::kOracle, ContinuousEngine::kIncremental}) {
@@ -511,6 +557,31 @@ TEST(ContinuousIncremental, BandEdgeReadingsMatchOracle) {
   EXPECT_GT(oracle[1].withdrawals, 0);
   EXPECT_GT(oracle[2].adds, 0);
   EXPECT_GT(oracle[3].withdrawals, 0);
+}
+
+TEST(ContinuousIncremental, MultiBlockDeploymentMatchesOracle) {
+  const auto oracle = at_thread_count(1, [] {
+    return run_multi_block_sequence(ContinuousEngine::kOracle, {});
+  });
+  const auto incremental = at_thread_count(4, [] {
+    return run_multi_block_sequence(ContinuousEngine::kIncremental, {});
+  });
+  expect_rounds_equal(oracle, incremental,
+                      "multi-block oracle@1 vs incremental@4");
+
+  // The schedule must reach each path of the dirty pass: a bump-only
+  // round dirties some nodes but not all, the held round none.
+  ASSERT_EQ(incremental.size(), 6u);
+  EXPECT_GT(incremental[1].dirty_nodes, 0.0);
+  EXPECT_LT(incremental[1].dirty_nodes, incremental[0].dirty_nodes);
+  EXPECT_EQ(incremental[3].dirty_nodes, 0.0);
+  int refreshes = 0, withdrawals = 0;
+  for (const auto& round : incremental) {
+    refreshes += round.refreshes;
+    withdrawals += round.withdrawals;
+  }
+  EXPECT_GT(refreshes, 0);
+  EXPECT_GT(withdrawals, 0);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "field/bathymetry.hpp"
 #include "field/blended_field.hpp"
@@ -147,6 +150,7 @@ TEST(BlendedField, MatchesPerCallOracleBitForBit) {
     const GaussianField silted = silted_harbor_bathymetry(b);
     for (const double alpha : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       const BlendedField blend(harbor, silted, alpha);
+      EXPECT_TRUE(blend.shares_prefix());
       int bad = 0;
       for (const Vec2 p : pts)
         if (bits(blend.value(p)) !=
@@ -157,6 +161,105 @@ TEST(BlendedField, MatchesPerCallOracleBitForBit) {
       EXPECT_EQ(bad, 0) << "alpha " << alpha << ", side " << side;
     }
   }
+}
+
+/// Points where a blend of `a` toward `b` differs from the two-pass
+/// oracle in any bit, over several alphas.
+int blend_mismatches(const GaussianField& a, const GaussianField& b,
+                     const std::vector<Vec2>& pts) {
+  int bad = 0;
+  for (const double alpha : {0.0, 0.3, 0.5, 1.0}) {
+    const BlendedField blend(a, b, alpha);
+    for (const Vec2 p : pts)
+      if (bits(blend.value(p)) !=
+          bits(oracle::blended_field_value(a, b, alpha, p)))
+        ++bad;
+  }
+  return bad;
+}
+
+GaussianField with_bumps(const GaussianField& f,
+                         std::vector<GaussianBump> bumps) {
+  return GaussianField(f.bounds(), f.base(), f.trend(), std::move(bumps));
+}
+
+TEST(BlendedField, OnlyABitExactPrefixTakesTheOnePassPath) {
+  const FieldBounds b{0.0, 0.0, 200.0, 200.0};
+  Rng rng(27);
+  const std::vector<Vec2> pts = probe_points(b, 200, rng);
+  const GaussianField harbor = harbor_bathymetry(b);
+  const GaussianField silted = silted_harbor_bathymetry(b);
+  const auto up = [](double v) { return std::nextafter(v, 1e300); };
+  const auto expect_two_pass = [&](const GaussianField& a,
+                                   const GaussianField& b2,
+                                   const std::string& name) {
+    EXPECT_FALSE(BlendedField(a, b2, 0.5).shares_prefix()) << name;
+    EXPECT_EQ(blend_mismatches(a, b2, pts), 0) << name;
+  };
+
+  // A shorter prefix counts too: the base and trend alone.
+  const GaussianField bare = with_bumps(harbor, {});
+  EXPECT_TRUE(BlendedField(bare, silted, 0.5).shares_prefix());
+  EXPECT_EQ(blend_mismatches(bare, silted, pts), 0);
+
+  expect_two_pass(harbor, harbor, "a == b");
+  expect_two_pass(silted, harbor, "a longer than b");
+  expect_two_pass(GaussianField(b, up(harbor.base()), harbor.trend(),
+                                harbor.bumps()),
+                  silted, "base + 1 ulp");
+  expect_two_pass(GaussianField(b, harbor.base(),
+                                {harbor.trend().x, up(harbor.trend().y)},
+                                harbor.bumps()),
+                  silted, "trend + 1 ulp");
+  for (int field = 0; field < 6; ++field) {
+    std::vector<GaussianBump> bumps = harbor.bumps();
+    GaussianBump& bump = bumps[3];
+    double* const fields[] = {&bump.center.x, &bump.center.y, &bump.amplitude,
+                              &bump.sx,       &bump.sy,       &bump.rotation};
+    *fields[field] = up(*fields[field]);
+    expect_two_pass(with_bumps(harbor, std::move(bumps)), silted,
+                    "bump field " + std::to_string(field) + " + 1 ulp");
+  }
+  std::vector<GaussianBump> swapped = harbor.bumps();
+  std::swap(swapped[0], swapped[1]);
+  expect_two_pass(with_bumps(harbor, swapped), silted, "reordered bumps");
+
+  // -0.0 against 0.0: equal under ==, different bits.
+  std::vector<GaussianBump> plus = {{{50, 50}, 1.0, 20.0, 30.0, 0.0}};
+  std::vector<GaussianBump> minus = plus;
+  minus[0].rotation = -0.0;
+  minus.push_back({{120, 80}, -0.5, 25.0, 15.0, 0.4});
+  const GaussianField zero(b, 3.0, {0.01, 0.02}, plus);
+  const GaussianField minus_zero(b, 3.0, {0.01, 0.02}, minus);
+  expect_two_pass(zero, minus_zero, "-0.0 against 0.0");
+  minus[0].rotation = 0.0;
+  EXPECT_TRUE(
+      BlendedField(zero, with_bumps(minus_zero, minus), 0.5).shares_prefix());
+}
+
+TEST(BlendedField, NonGaussianOperandTakesTheTwoPassPath) {
+  const FieldBounds b{0.0, 0.0, 50.0, 50.0};
+  Rng rng(28);
+  const std::vector<Vec2> pts = probe_points(b, 200, rng);
+  const GaussianField harbor = harbor_bathymetry(b);
+  const GaussianField silted = silted_harbor_bathymetry(b);
+  const BlendedField inner(harbor, silted, 0.25);
+  const GridField grid = GridField::sample(harbor, 64, 64);
+  const std::pair<const ScalarField*, const ScalarField*> pairs[] = {
+      {&inner, &silted}, {&harbor, &inner}, {&grid, &silted}};
+  for (const auto& [a, b2] : pairs) {
+    for (const double alpha : {0.0, 0.3, 1.0}) {
+      const BlendedField blend(*a, *b2, alpha);
+      EXPECT_FALSE(blend.shares_prefix());
+      for (const Vec2 p : pts)
+        ASSERT_EQ(bits(blend.value(p)),
+                  bits((1.0 - alpha) * a->value(p) + alpha * b2->value(p)));
+    }
+  }
+  // The inner blend itself is the harbor -> silted pair.
+  for (const Vec2 p : pts)
+    ASSERT_EQ(bits(inner.value(p)),
+              bits(oracle::blended_field_value(harbor, silted, 0.25, p)));
 }
 
 TEST(GridField, ExactOnLattice) {
