@@ -340,58 +340,19 @@ int main() {
         .cell(aos_ms / soa_ms, 1);
   }
 
-  // Fused SoA fit: the split span kernels (plane_position_stats +
-  // plane_value_stats, four passes over the arrays) vs
-  // plane_stats_batch's two fused branch-free passes. Fusing interleaves
-  // independent accumulator chains without touching any chain's addend
-  // order, so the fitted plane must be — and is checked to be —
-  // bit-identical before timing.
-  for (const int n : {400, 2500, 10000}) {
-    const Neighbourhoods nh =
-        gather_neighbourhoods(harbor_scenario(n, kBenchSeed));
-    const auto split_fit = [&](std::size_t i) {
-      if (nh.xs[i].size() < 3) return std::optional<PlaneFit>();
-      const PlanePositionStats pos = plane_position_stats(nh.xs[i], nh.ys[i]);
-      return solve_plane(pos,
-                         plane_value_stats(nh.xs[i], nh.ys[i], nh.vs[i], pos));
-    };
-    for (std::size_t i = 0; i < nh.size(); ++i) {
-      if (!same_fit(split_fit(i),
-                    fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))) {
-        std::cerr << "[micro_hotpaths] split/fused fit mismatch\n";
-        return 1;
-      }
-    }
-    volatile double sink = 0.0;
-    const double split_ms = best_ms(5, [&] {
-      double total = 0.0;
-      for (std::size_t i = 0; i < nh.size(); ++i)
-        if (const auto fit = split_fit(i)) total += fit->c1;
-      sink = total;
-    });
-    const double fused_ms = best_ms(5, [&] {
-      double total = 0.0;
-      for (std::size_t i = 0; i < nh.size(); ++i)
-        if (const auto fit = fit_plane_soa(nh.xs[i], nh.ys[i], nh.vs[i]))
-          total += fit->c1;
-      sink = total;
-    });
-    table.row()
-        .cell("fit_soa_batch")
-        .cell(n)
-        .cell(split_ms, 2)
-        .cell(fused_ms, 2)
-        .cell(split_ms / fused_ms, 1);
-  }
-
   // Batch point-in-region: the scalar level_index walk (retained oracle,
-  // one region-stack descent with branchy box rejects per point) vs the
-  // level_index_batch sieve feeding LevelRegion::contains_batch. Identity
-  // over every grid point first — the batch path must reproduce the
-  // scalar classification exactly.
+  // one region-stack descent per point) vs the level_index_batch sieve,
+  // which walks the stack level-major so each region's data stays hot
+  // across the points it tests. The map is harbor_dense's (40 000 nodes,
+  // 32 levels, its filter thresholds): the sieve pays on a deep stack.
+  // Identity over every grid point first — the batch path must
+  // reproduce the scalar classification exactly.
   {
-    const Scenario s = harbor_scenario(2500, kBenchSeed);
-    const ContourMap map = run_isomap(s, 4).result.map;
+    const Scenario s = harbor_scenario(40000, kBenchSeed);
+    IsoMapOptions options = isomap_options(s, 32);
+    options.query.distance_separation = 1.0;
+    options.query.angular_separation_deg = 10.0;
+    const ContourMap map = run_isomap(s, options).result.map;
     const FieldBounds fb = s.field.bounds();
     for (const int res : {64, 128, 256}) {
       std::vector<Vec2> pts;

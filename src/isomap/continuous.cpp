@@ -153,14 +153,6 @@ void ContinuousMapper::ensure_tables() {
     level_cache_.assign(static_cast<std::size_t>(num_levels_), LevelCache{});
 }
 
-int ContinuousMapper::level_index_of(double lambda) const {
-  const auto it =
-      std::lower_bound(isolevels_.begin(), isolevels_.end(), lambda - 1e-9);
-  if (it != isolevels_.end() && std::abs(*it - lambda) < 1e-9)
-    return static_cast<int>(it - isolevels_.begin());
-  return -1;
-}
-
 double ContinuousMapper::route_bytes(int from, double bytes,
                                      Ledger& ledger) const {
   // Walk the parent chain: the hops path_to_sink lists, in its order,
@@ -343,19 +335,10 @@ ContourMap ContinuousMapper::build_map(
   const FieldBounds bounds = deployment_->bounds();
   const auto k = static_cast<std::size_t>(num_levels_);
 
-  // Group by level exactly as ContourMapBuilder::build does — but via
-  // binary search per report instead of a level x report sweep. Levels
-  // are at least one granularity step apart (>> the 1e-9 tolerance), so
-  // each report matches at most one level, and per-level report order is
-  // the incoming order either way. The grouping vectors are member
-  // scratch so their capacity survives across rounds.
-  if (level_scratch_.size() != k) level_scratch_.assign(k, {});
+  // Group by level with ContourMapBuilder::build's rule. The grouping
+  // vectors are member scratch so their capacity survives across rounds.
   std::vector<std::vector<IsolineReport>>& level_reports = level_scratch_;
-  for (auto& group : level_reports) group.clear();
-  for (const auto& r : reports) {
-    const int li = level_index_of(r.isolevel);
-    if (li >= 0) level_reports[static_cast<std::size_t>(li)].push_back(r);
-  }
+  group_reports_by_level(reports, isolevels_, level_reports);
 
   // Fingerprint each level's post-filter report set; a level whose set
   // is unchanged (fingerprint pre-filter, exact comparison as the

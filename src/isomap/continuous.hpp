@@ -230,10 +230,6 @@ class ContinuousMapper {
            static_cast<std::size_t>(level);
   }
 
-  /// Index of `lambda` in isolevels_ (1e-9 tolerance), by binary search
-  /// over the ascending level list; -1 when absent.
-  int level_index_of(double lambda) const;
-
   double route_bytes(int from, double bytes, Ledger& ledger) const;
 
   /// Size the flat tables / caches for the current deployment; clears

@@ -172,42 +172,6 @@ bool LevelRegion::contains_rules(Vec2 q) const {
   return false;
 }
 
-void LevelRegion::contains_batch(std::span<const Vec2> qs,
-                                 std::span<unsigned char> out) const {
-  if (reports_.empty()) {
-    std::fill(out.begin(), out.end(), static_cast<unsigned char>(0));
-    return;
-  }
-  if (mode_ == RegulationMode::kBlended) {
-    for (std::size_t k = 0; k < qs.size(); ++k)
-      out[k] = contains_blended(qs[k]) ? 1 : 0;
-    return;
-  }
-  for (std::size_t k = 0; k < qs.size(); ++k) {
-    const Vec2 q = qs[k];
-    unsigned char hit = 0;
-    const int site = voronoi_.nearest_site(q);
-    if (site >= 0) {
-      const auto& pieces = pieces_[static_cast<std::size_t>(site)];
-      const auto& boxes = piece_boxes_[static_cast<std::size_t>(site)];
-      for (std::size_t i = 0; i < pieces.size(); ++i) {
-        // Same exact inflated-box predicate as contains_rules, evaluated
-        // with bitwise & so all four bounds compare without intermediate
-        // branches — one test per piece instead of up to four.
-        const PieceBox& b = boxes[i];
-        const bool in_box =
-            static_cast<int>(q.x >= b.x0) & static_cast<int>(q.x <= b.x1) &
-            static_cast<int>(q.y >= b.y0) & static_cast<int>(q.y <= b.y1);
-        if (in_box && pieces[i].contains(q, 1e-9)) {
-          hit = 1;
-          break;
-        }
-      }
-    }
-    out[k] = hit;
-  }
-}
-
 bool LevelRegion::contains_blended(Vec2 q) const {
   // Inverse-square-distance blend of the two nearest reports' signed
   // half-plane tests; reduces to the plain test with one report.
@@ -297,23 +261,15 @@ void ContourMap::level_index_batch(std::span<const Vec2> qs,
   std::vector<std::size_t> active(m);
   for (std::size_t i = 0; i < m; ++i) active[i] = i;
   std::vector<int> pending(m, 0);
-  std::vector<Vec2> pts(m);
-  std::vector<unsigned char> inside(m);
   for (const auto& region : regions_) {
     if (active.empty()) break;
     if (!region->has_reports()) {
       for (const std::size_t i : active) ++pending[i];
       continue;
     }
-    pts.resize(active.size());
-    inside.resize(active.size());
-    for (std::size_t a = 0; a < active.size(); ++a) pts[a] = qs[active[a]];
-    region->contains_batch({pts.data(), active.size()},
-                           {inside.data(), active.size()});
     std::size_t kept = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::size_t i = active[a];
-      if (!inside[a]) continue;  // Scalar break: the point is finished.
+    for (const std::size_t i : active) {
+      if (!region->contains(qs[i])) continue;  // Scalar break: finished.
       out[i] += pending[i] + 1;
       pending[i] = 0;
       active[kept++] = i;
@@ -342,57 +298,36 @@ int ContourMap::level_index(Vec2 q) const {
   return level;
 }
 
-StreamingSinkBuilder::StreamingSinkBuilder(FieldBounds bounds,
-                                           std::vector<double> isolevels,
-                                           RegulationMode mode)
-    : bounds_(bounds), mode_(mode), isolevels_(std::move(isolevels)) {
-  level_reports_.resize(isolevels_.size());
-  sorted_levels_.reserve(isolevels_.size());
-  for (std::size_t li = 0; li < isolevels_.size(); ++li)
-    if (!std::isnan(isolevels_[li]))
-      sorted_levels_.push_back(static_cast<int>(li));
-  std::sort(sorted_levels_.begin(), sorted_levels_.end(), [&](int a, int b) {
-    return isolevels_[static_cast<std::size_t>(a)] <
-           isolevels_[static_cast<std::size_t>(b)];
-  });
-}
-
-void StreamingSinkBuilder::consume(const IsolineReport& report) {
-  // The batch builder matched with |r.isolevel - level| < 1e-9; locate
-  // the candidate window [report.isolevel - tol, ...) by binary search
-  // and apply that exact predicate to each candidate, so membership is
-  // decided by the same comparison on the same doubles. Appending in
-  // consume order reproduces the per-level report order of the old
-  // level-by-level scan (both are report order within each level).
+void group_reports_by_level(std::span<const IsolineReport> reports,
+                            std::span<const double> isolevels,
+                            std::vector<std::vector<IsolineReport>>& levels) {
   constexpr double kLevelTol = 1e-9;
-  if (std::isnan(report.isolevel)) return;
-  const auto begin = std::lower_bound(
-      sorted_levels_.begin(), sorted_levels_.end(),
-      report.isolevel - kLevelTol, [&](int li, double v) {
-        return isolevels_[static_cast<std::size_t>(li)] < v;
-      });
-  for (auto it = begin; it != sorted_levels_.end(); ++it) {
-    const double level = isolevels_[static_cast<std::size_t>(*it)];
-    if (!(level - report.isolevel < kLevelTol)) break;
-    if (std::abs(report.isolevel - level) < kLevelTol)
-      level_reports_[static_cast<std::size_t>(*it)].push_back(report);
-  }
-}
-
-ContourMap StreamingSinkBuilder::finish() {
-  // Each level's Voronoi/regulation construction is independent; build
-  // them across the pool (each slot written by exactly one task, so the
-  // result is identical to the serial loop).
-  const std::size_t k = isolevels_.size();
-  std::vector<std::optional<LevelRegion>> slots(k);
-  exec::parallel_for(k, [&](std::size_t li) {
-    slots[li].emplace(isolevels_[li], std::move(level_reports_[li]), bounds_,
-                      mode_);
+  levels.resize(isolevels.size());
+  for (auto& group : levels) group.clear();
+  // Level indices by ascending isolevel (NaN levels never match), so a
+  // report binary-searches its levels instead of scanning all of them.
+  std::vector<std::size_t> order;
+  order.reserve(isolevels.size());
+  for (std::size_t li = 0; li < isolevels.size(); ++li)
+    if (!std::isnan(isolevels[li])) order.push_back(li);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return isolevels[a] < isolevels[b];
   });
-  std::vector<LevelRegion> regions;
-  regions.reserve(k);
-  for (auto& slot : slots) regions.push_back(std::move(*slot));
-  return ContourMap(bounds_, std::move(regions));
+  for (const IsolineReport& r : reports) {
+    const auto near = [&](std::size_t li) {
+      return std::abs(r.isolevel - isolevels[li]) < kLevelTol;
+    };
+    // Floating subtraction is monotone, so the levels passing `near` are
+    // contiguous in ascending order around the first level >= isolevel:
+    // widen from there while the exact predicate holds.
+    auto hi = std::lower_bound(
+        order.begin(), order.end(), r.isolevel,
+        [&](std::size_t li, double v) { return isolevels[li] < v; });
+    auto lo = hi;
+    while (lo != order.begin() && near(*(lo - 1))) --lo;
+    while (hi != order.end() && near(*hi)) ++hi;
+    for (auto it = lo; it != hi; ++it) levels[*it].push_back(r);
+  }
 }
 
 ContourMapBuilder::ContourMapBuilder(FieldBounds bounds, RegulationMode mode)
@@ -405,9 +340,21 @@ ContourMap ContourMapBuilder::build(const std::vector<IsolineReport>& reports,
   obs::PhaseTimer timer(obs::kPhaseMapGen);
   obs::count("map_gen.reports", static_cast<double>(reports.size()));
   obs::count("map_gen.levels", static_cast<double>(isolevels.size()));
-  StreamingSinkBuilder streaming(bounds_, isolevels, mode_);
-  for (const auto& r : reports) streaming.consume(r);
-  return streaming.finish();
+  std::vector<std::vector<IsolineReport>> level_reports;
+  group_reports_by_level(reports, isolevels, level_reports);
+  // Each level's Voronoi/regulation construction is independent; build
+  // them across the pool (each slot written by exactly one task, so the
+  // result is identical to the serial loop).
+  const std::size_t k = isolevels.size();
+  std::vector<std::optional<LevelRegion>> slots(k);
+  exec::parallel_for(k, [&](std::size_t li) {
+    slots[li].emplace(isolevels[li], std::move(level_reports[li]), bounds_,
+                      mode_);
+  });
+  std::vector<LevelRegion> regions;
+  regions.reserve(k);
+  for (auto& slot : slots) regions.push_back(std::move(*slot));
+  return ContourMap(bounds_, std::move(regions));
 }
 
 }  // namespace isomap

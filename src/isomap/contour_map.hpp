@@ -45,15 +45,6 @@ class LevelRegion {
   /// True if q lies in the reconstructed contour region.
   bool contains(Vec2 q) const;
 
-  /// Batch membership: out[i] = contains(qs[i]) for every i, with the
-  /// per-piece inflated-box pre-reject evaluated branch-free (the four
-  /// comparisons folded bitwise instead of short-circuited) so the hot
-  /// rasterization loop takes one well-predicted branch per piece. The
-  /// per-point decision sequence is identical to contains(), so the
-  /// output bytes match the scalar oracle bit for bit.
-  void contains_batch(std::span<const Vec2> qs,
-                      std::span<unsigned char> out) const;
-
   /// Boundary chains of the region, excluding portions on the field
   /// border; these are the estimated isolines compared against the ground
   /// truth in the paper's Fig. 12 Hausdorff metric.
@@ -117,8 +108,8 @@ class ContourMap {
 
   /// Batch variant: out[i] = level_index(qs[i]) for every i. Walks the
   /// level stack once per *batch* instead of once per point, narrowing an
-  /// active-point list as lower levels reject points, and resolves each
-  /// level's memberships through LevelRegion::contains_batch. Replicates
+  /// active-point list as lower levels reject points, so each level's
+  /// region data stays hot across the points it tests. Replicates
   /// level_index's early-break and transparent-empty-level bookkeeping
   /// per point exactly, so every output equals the scalar call's.
   void level_index_batch(std::span<const Vec2> qs, std::span<int> out) const;
@@ -133,51 +124,26 @@ class ContourMap {
   std::vector<std::shared_ptr<const LevelRegion>> regions_;
 };
 
-/// Streaming sink-side map construction: reports are consumed one at a
-/// time into per-level buckets, and finish() assembles the stacked map
-/// from the buckets. The sink never needs the full report set *and* a
-/// per-level regrouping to coexist — its live memory is bounded by the
-/// delivered reports (O(sqrt(n) * levels)), which is what keeps a
-/// million-node round's sink footprint flat.
-///
-/// Identity contract: a report lands in exactly the buckets the batch
-/// builder's per-level scan (|report.isolevel - level| < 1e-9) put it in,
-/// in the same per-level order, so finish() builds bit-identical regions.
-class StreamingSinkBuilder {
- public:
-  StreamingSinkBuilder(FieldBounds bounds, std::vector<double> isolevels,
-                       RegulationMode mode = RegulationMode::kRules);
+/// The sink's one rule for grouping reports by isolevel: levels[k]
+/// receives, in report order, every report whose isolevel lies within
+/// 1e-9 of isolevels[k], so a report may land under several levels and a
+/// NaN isolevel (report's or level's) matches none. `isolevels` need not
+/// be sorted. `levels` is resized to isolevels.size() and each group
+/// cleared first; their capacity is kept, so a caller can reuse one
+/// grouping across rounds.
+void group_reports_by_level(std::span<const IsolineReport> reports,
+                            std::span<const double> isolevels,
+                            std::vector<std::vector<IsolineReport>>& levels);
 
-  /// Bucket one report into every isolevel within the matching tolerance
-  /// (located by binary search over the sorted level view; the exact
-  /// batch-builder predicate decides membership).
-  void consume(const IsolineReport& report);
-
-  /// Build the stacked map from the buckets (one LevelRegion per level,
-  /// constructed across the exec pool). Consumes the buckets.
-  ContourMap finish();
-
- private:
-  FieldBounds bounds_;
-  RegulationMode mode_;
-  std::vector<double> isolevels_;
-  /// Level indices ordered by ascending isolevel (NaN levels excluded —
-  /// they can never match), so consume() binary-searches instead of
-  /// scanning every level per report.
-  std::vector<int> sorted_levels_;
-  std::vector<std::vector<IsolineReport>> level_reports_;
-};
-
-/// Builds ContourMaps from sink-side report sets. A thin batch facade
-/// over StreamingSinkBuilder: build() streams the reports through it and
-/// finishes the map.
+/// Builds ContourMaps from sink-side report sets.
 class ContourMapBuilder {
  public:
   explicit ContourMapBuilder(FieldBounds bounds,
                              RegulationMode mode = RegulationMode::kRules);
 
-  /// Group `reports` by isolevel (one LevelRegion per entry of
-  /// `isolevels`, ascending) and construct the stacked map.
+  /// Group `reports` by isolevel (group_reports_by_level; one
+  /// LevelRegion per entry of `isolevels`, ascending) and construct the
+  /// stacked map, each level's region built across the exec pool.
   ContourMap build(const std::vector<IsolineReport>& reports,
                    const std::vector<double>& isolevels) const;
 

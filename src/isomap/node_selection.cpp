@@ -67,6 +67,24 @@ std::vector<SelectionEntry> select_over_blocks(
   return selected;
 }
 
+/// Definition 3.1 for one node with border half-width `epsilon`:
+/// appends the node's admitted (node, isolevel) entries and returns the
+/// evaluator's ops and candidate count. Blocks run concurrently, so the
+/// admitted-index scratch is thread_local: allocation-free across nodes
+/// and private to each pool thread.
+NodeSelectionResult select_node(const CommGraph& graph,
+                                const std::vector<double>& readings, int node,
+                                const std::vector<double>& levels,
+                                double epsilon,
+                                std::vector<SelectionEntry>& entries) {
+  thread_local std::vector<int> admitted;
+  const NodeSelectionResult result =
+      evaluate_node_selection(graph, readings, node, levels, epsilon, admitted);
+  for (int idx : admitted)
+    entries.push_back({node, levels[static_cast<std::size_t>(idx)]});
+  return result;
+}
+
 }  // namespace
 
 void trace_selection(obs::TraceSink* sink, int node, double isolevel) {
@@ -165,24 +183,13 @@ std::vector<SelectionEntry> select_isoline_nodes_adaptive(
         const double eps = slope > 0.0 ? 0.5 * strip_width * slope
                                        : query.epsilon();
 
-        ops += static_cast<double>(levels.size());
-        std::size_t candidates = 0;
-        for (double lambda : levels) {
-          if (!is_candidate(v, lambda, eps)) continue;
-          ++candidates;
-          bool crossing = false;
-          for (int nb : graph.neighbour_span(node)) {
-            ops += 2.0;
-            const double nv = readings[static_cast<std::size_t>(nb)];
-            if ((v < lambda && lambda < nv) || (nv < lambda && lambda < v)) {
-              crossing = true;
-              break;
-            }
-          }
-          if (crossing) entries.push_back({node, lambda});
-        }
-        out_ops = ops;
-        return candidates;
+        // Definition 3.1 with the node's own epsilon. Every op is a small
+        // integer in a double, so adding the slope loop's share after the
+        // evaluator's is exact.
+        const NodeSelectionResult result =
+            select_node(graph, readings, node, levels, eps, entries);
+        out_ops = result.ops + ops;
+        return static_cast<std::size_t>(result.candidates);
       });
 }
 
@@ -191,20 +198,12 @@ std::vector<SelectionEntry> select_isoline_nodes(
     const ContourQuery& query, std::vector<double>* ops_per_node) {
   const auto levels = query.isolevels();
   const double eps = query.epsilon();
-  // One admitted-index scratch per block, not per node: the driver calls
-  // the evaluator from a single worker per block, but different blocks
-  // run concurrently, so the scratch must live inside the closure's
-  // per-call frame. thread_local keeps it allocation-free across nodes
-  // while staying private to each pool thread.
   return select_over_blocks(
       graph, ops_per_node,
       [&](int node, std::vector<SelectionEntry>& entries,
           double& out_ops) -> std::size_t {
-        thread_local std::vector<int> admitted;
-        const NodeSelectionResult result = evaluate_node_selection(
-            graph, readings, node, levels, eps, admitted);
-        for (int idx : admitted)
-          entries.push_back({node, levels[static_cast<std::size_t>(idx)]});
+        const NodeSelectionResult result =
+            select_node(graph, readings, node, levels, eps, entries);
         out_ops = result.ops;
         return static_cast<std::size_t>(result.candidates);
       });

@@ -46,7 +46,9 @@ std::vector<SelectionEntry> select_isoline_nodes(
 /// the neighbourhood is flat). A steep area no longer under-selects and a
 /// flat area no longer floods the border region — the trade the paper's
 /// Section 5 epsilon discussion gestures at, automated. The crossing
-/// condition (Def. 3.1 part 2) is unchanged. Adds O(deg) ops per node.
+/// condition (Def. 3.1 part 2) is unchanged: each node runs
+/// evaluate_node_selection with its own epsilon, plus 4 ops per neighbour
+/// for the slope estimate.
 std::vector<SelectionEntry> select_isoline_nodes_adaptive(
     const CommGraph& graph, const Deployment& deployment,
     const std::vector<double>& readings, const ContourQuery& query,
@@ -61,8 +63,8 @@ struct NodeSelectionResult {
 
 /// Evaluate Definition 3.1 for one node against every level: `admitted`
 /// receives the indices (into `levels`, ascending) the node self-selects
-/// for. Shared by select_isoline_nodes and the continuous mapper's
-/// incremental engine, so both produce identical entries, ops and
+/// for. Shared by both selection sweeps and the continuous mapper's
+/// incremental engine, so all produce identical entries, ops and
 /// candidate counts by construction.
 ///
 /// `levels` must be ascending (ContourQuery::isolevels() is). The level

@@ -74,61 +74,12 @@ PlaneValueStats plane_value_stats(std::span<const double> xs,
   return stats;
 }
 
-PlaneStats plane_stats_batch(std::span<const double> xs,
-                             std::span<const double> ys,
-                             std::span<const double> vs) {
-  PlaneStats s;
-  const std::size_t n = xs.size();
-  s.pos.n = n;
-  const double* const x = xs.data();
-  const double* const y = ys.data();
-  const double* const v = vs.data();
-  double mx = 0.0, my = 0.0, mv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += x[i];
-    my += y[i];
-    mv += v[i];
-  }
-  if (n > 0) {
-    const double inv = 1.0 / static_cast<double>(n);
-    mx *= inv;
-    my *= inv;
-    mv *= inv;
-  }
-  s.pos.mean = {mx, my};
-  s.val.mean_v = mv;
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, syy = 0.0;
-  double sv = 0.0, sxv = 0.0, syv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    const double dv = v[i] - mv;
-    sx += dx;
-    sy += dy;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-    sv += dv;
-    sxv += dx * dv;
-    syv += dy * dv;
-  }
-  s.pos.sx = sx;
-  s.pos.sy = sy;
-  s.pos.sxx = sxx;
-  s.pos.sxy = sxy;
-  s.pos.syy = syy;
-  s.val.sv = sv;
-  s.val.sxv = sxv;
-  s.val.syv = syv;
-  return s;
-}
-
 std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
                                       std::span<const double> ys,
                                       std::span<const double> vs) {
   if (xs.size() < 3) return std::nullopt;
-  const PlaneStats stats = plane_stats_batch(xs, ys, vs);
-  return solve_plane(stats.pos, stats.val);
+  const PlanePositionStats pos = plane_position_stats(xs, ys);
+  return solve_plane(pos, plane_value_stats(xs, ys, vs, pos));
 }
 
 void record_fit_metrics(std::size_t n_samples) {

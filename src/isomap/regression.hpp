@@ -62,35 +62,16 @@ PlaneValueStats plane_value_stats(std::span<const double> xs,
                                   std::span<const double> vs,
                                   const PlanePositionStats& pos);
 
-/// Both sufficient-statistic blocks of one fit, computed together.
-struct PlaneStats {
-  PlanePositionStats pos;
-  PlaneValueStats val;
-};
-
-/// Fused batch kernel: both blocks in two passes over the three arrays
-/// (one for the means, one for the centred sums) instead of the four the
-/// split plane_position_stats + plane_value_stats path makes. Every
-/// accumulator chain still adds its own addend sequence in sample order —
-/// fusing interleaves *independent* chains, never reassociates within one
-/// — so each sum, and any fit solved from the blocks, is bit-identical to
-/// the split kernels. The loops are branch-free over raw contiguous
-/// arrays (no size checks inside, no indirect calls), which is what lets
-/// the compiler vectorize across the chains.
-PlaneStats plane_stats_batch(std::span<const double> xs,
-                             std::span<const double> ys,
-                             std::span<const double> vs);
-
 /// Least-squares plane fit through the samples, given as parallel
 /// coordinate/value arrays, by solving the 3x3 normal equations A w = b of
-/// Eq. 2 (Section 3.3): plane_stats_batch + solve_plane, nothing else.
-/// Returns nullopt when the samples are degenerate (fewer than 3, or
-/// collinear positions), in which case no gradient estimate exists.
-/// Bit-identical to plane_position_stats + plane_value_stats +
-/// solve_plane, so callers holding a cached position block reproduce it
-/// bit for bit. No observability emission and no ops accounting, so it is
-/// safe to call from exec pool workers: callers charge fit_plane_ops and
-/// emit record_fit_metrics / record_degenerate_fit in their ordered merge.
+/// Eq. 2 (Section 3.3): plane_position_stats + plane_value_stats +
+/// solve_plane, nothing else — the same kernels the continuous refit
+/// runs, so callers holding a cached position block reproduce it bit for
+/// bit. Returns nullopt when the samples are degenerate (fewer than 3, or
+/// collinear positions), in which case no gradient estimate exists. No
+/// observability emission and no ops accounting, so it is safe to call
+/// from exec pool workers: callers charge fit_plane_ops and emit
+/// record_fit_metrics / record_degenerate_fit in their ordered merge.
 std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
                                       std::span<const double> ys,
                                       std::span<const double> vs);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "isomap/contour_map.hpp"
+#include "isomap/continuous.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -179,6 +185,130 @@ TEST(ContourMap, BuilderGroupsReportsByLevel) {
       ContourMapBuilder(kBounds).build(reports, {5.0, 6.0});
   EXPECT_EQ(map.region(0).reports().size(), 2u);
   EXPECT_EQ(map.region(1).reports().size(), 1u);
+}
+
+/// The grouping rule spelled out: level k holds, in report order, every
+/// report with |isolevel - isolevels[k]| < 1e-9, scanning every level.
+std::vector<std::vector<IsolineReport>> brute_force_groups(
+    const std::vector<IsolineReport>& reports,
+    const std::vector<double>& isolevels) {
+  std::vector<std::vector<IsolineReport>> groups(isolevels.size());
+  for (std::size_t k = 0; k < isolevels.size(); ++k)
+    for (const IsolineReport& r : reports)
+      if (std::abs(r.isolevel - isolevels[k]) < 1e-9) groups[k].push_back(r);
+  return groups;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Bitwise equality of two per-level report lists.
+void expect_same_reports(const std::vector<IsolineReport>& got,
+                         const std::vector<IsolineReport>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i].isolevel), bits(want[i].isolevel)) << where << i;
+    EXPECT_EQ(bits(got[i].position.x), bits(want[i].position.x)) << where << i;
+    EXPECT_EQ(bits(got[i].position.y), bits(want[i].position.y)) << where << i;
+    EXPECT_EQ(bits(got[i].gradient.x), bits(want[i].gradient.x)) << where << i;
+    EXPECT_EQ(bits(got[i].gradient.y), bits(want[i].gradient.y)) << where << i;
+    EXPECT_EQ(got[i].source, want[i].source) << where << i;
+  }
+}
+
+TEST(GroupReportsByLevel, MatchesBruteForceScan) {
+  // Unsorted levels, two of them closer together than the tolerance, one
+  // NaN level and one level no report is near; reports half a tolerance
+  // either side of a level, a NaN isolevel and random far-off values.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> isolevels = {6.0, 4.0, 5.0 + 0.6e-9, 5.0,
+                                         nan, 9.0, 7.0};
+  std::vector<IsolineReport> reports;
+  Rng rng(5);
+  int id = 0;
+  const auto add = [&](double isolevel) {
+    reports.push_back({isolevel,
+                       {rng.uniform(5, 45), rng.uniform(5, 45)},
+                       {rng.uniform(-1, 1), rng.uniform(-1, 1)},
+                       id++});
+  };
+  for (int i = 0; i < 200; ++i) {
+    const double roll = rng.uniform();
+    const double level = 4.0 + std::floor(rng.uniform(0.0, 3.999));
+    if (roll < 0.2) add(level);
+    else if (roll < 0.35) add(level + 0.5e-9);
+    else if (roll < 0.5) add(level - 0.5e-9);
+    else if (roll < 0.55) add(nan);
+    else if (roll < 0.6) add(5.0 + 0.3e-9);  // Near both of the close pair.
+    else if (roll < 0.7) add(level + 1e-9);  // Exactly one tolerance off.
+    else add(rng.uniform(3.0, 8.0));
+  }
+
+  // A stale group from an earlier call must be cleared, not appended to.
+  std::vector<std::vector<IsolineReport>> groups = {{reports.front()}};
+  group_reports_by_level(reports, isolevels, groups);
+  const auto want = brute_force_groups(reports, isolevels);
+  ASSERT_EQ(groups.size(), isolevels.size());
+  for (std::size_t k = 0; k < isolevels.size(); ++k)
+    expect_same_reports(groups[k], want[k], "level " + std::to_string(k) +
+                                                " report ");
+  // The cases bite: the close pair shares reports, NaN and the empty
+  // level get none.
+  int shared = 0;
+  for (const IsolineReport& a : groups[2])
+    for (const IsolineReport& b : groups[3]) shared += a.source == b.source;
+  EXPECT_GT(shared, 0);
+  EXPECT_TRUE(groups[4].empty());
+  EXPECT_TRUE(groups[5].empty());
+
+  // The builder groups by the same rule.
+  const ContourMap map = ContourMapBuilder(kBounds).build(reports, isolevels);
+  ASSERT_EQ(map.level_count(), static_cast<int>(isolevels.size()));
+  for (int k = 0; k < map.level_count(); ++k)
+    expect_same_reports(map.region(k).reports(),
+                        want[static_cast<std::size_t>(k)],
+                        "map level " + std::to_string(k) + " report ");
+}
+
+TEST(GroupReportsByLevel, ContinuousMapMatchesBuilderOnCloseLevels) {
+  // Isolevels 0.4e-9 apart, closer than the 1e-9 grouping tolerance, so
+  // one report belongs under several levels. The continuous engine's map
+  // must still be ContourMapBuilder's over the post-filter reports.
+  ScenarioConfig config;
+  config.num_nodes = 2500;
+  config.seed = 3;
+  const Scenario s = make_scenario(config);
+  ContinuousOptions opts;
+  opts.base.query.lambda_lo = 0.0;
+  opts.base.query.granularity = 0.4e-9;
+  opts.base.query.lambda_hi = 1.6e-9;
+  const std::vector<double> isolevels = opts.base.query.isolevels();
+  ASSERT_EQ(isolevels.size(), 4u);
+
+  // A plane rising 1e-10 per unit in x: level k crosses at x = 20 + 4k.
+  std::vector<double> readings(static_cast<std::size_t>(s.deployment.size()));
+  for (int i = 0; i < s.deployment.size(); ++i)
+    readings[static_cast<std::size_t>(i)] =
+        (s.deployment.node(i).pos.x - 20.0) * 1e-10;
+
+  ContinuousMapper mapper(opts, s.deployment, s.graph, s.tree);
+  Ledger ledger(s.deployment.size());
+  const RoundResult result = mapper.round(readings, ledger);
+  const std::vector<IsolineReport> reports = mapper.post_filter_reports();
+  ASSERT_FALSE(reports.empty());
+  const ContourMap want =
+      ContourMapBuilder(s.deployment.bounds(), opts.base.regulation)
+          .build(reports, isolevels);
+  ASSERT_EQ(result.map.level_count(), want.level_count());
+  for (int k = 0; k < want.level_count(); ++k)
+    expect_same_reports(result.map.region(k).reports(), want.region(k).reports(),
+                        "level " + std::to_string(k) + " report ");
+  // The staging bites: some level holds reports of another isolevel.
+  bool shared = false;
+  for (int k = 0; k < want.level_count(); ++k)
+    for (const IsolineReport& r : want.region(k).reports())
+      shared |= r.isolevel != isolevels[static_cast<std::size_t>(k)];
+  EXPECT_TRUE(shared);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RegulationModes,

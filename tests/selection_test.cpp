@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "exec/exec.hpp"
 #include "isomap/node_selection.hpp"
+#include "obs/obs.hpp"
 #include "oracles/selection_full_scan.hpp"
 #include "sim/scenario.hpp"
 
@@ -180,6 +185,110 @@ TEST(AdaptiveSelection, SelectionTracksLocalSlopeNotFixedEpsilon) {
       graph, dep, readings, query, /*strip_width=*/1.5);
   EXPECT_TRUE(fixed.empty());         // 0.4 > 0.25 fixed border.
   EXPECT_EQ(adaptive.size(), 2u);     // eps_i = 0.75 * slope 1 = 0.75.
+}
+
+/// The adaptive border half-width of `node`, recomputed from its 1-hop
+/// neighbourhood exactly as select_isoline_nodes_adaptive documents it:
+/// 0.5 * strip_width * the steepest |v_i - v_j| / dist(i, j), or the
+/// query epsilon when the neighbourhood is flat.
+double adaptive_epsilon(const Scenario& s, const std::vector<double>& readings,
+                        int node, double strip_width, double fallback) {
+  const double v = readings[static_cast<std::size_t>(node)];
+  const Vec2 pos = s.deployment.node(node).pos;
+  double slope = 0.0;
+  for (int nb : s.graph.neighbours(node)) {
+    const double dist = pos.distance_to(s.deployment.node(nb).pos);
+    if (dist <= 1e-9) continue;
+    slope = std::max(
+        slope, std::abs(readings[static_cast<std::size_t>(nb)] - v) / dist);
+  }
+  return slope > 0.0 ? 0.5 * strip_width * slope : fallback;
+}
+
+TEST(AdaptiveSelection, MatchesFullScanWithPerNodeEpsilon) {
+  // Random field with band-edge readings: exact levels, and flat patches
+  // (a node and all its neighbours set to one reading, so the node falls
+  // back to the query epsilon) sitting exactly on, or one ulp outside,
+  // the fallback band edge. Every node's entries, ops and the
+  // select.candidates total must equal the full-scan oracle run with the
+  // node's own epsilon, plus 4 ops per neighbour for the slope loop, at
+  // one and at four threads.
+  ScenarioConfig config;
+  config.num_nodes = 1500;
+  config.seed = 17;
+  config.field = FieldKind::kRandom;
+  const Scenario s = make_scenario(config);
+  const ContourQuery query = default_query(s.field, 5);
+  const auto levels = query.isolevels();
+  const double eps = query.epsilon();
+  const double strip_width = 1.5;
+
+  std::vector<double> readings = s.readings;
+  Rng rng(77);
+  for (int node = 0; node < s.graph.size(); ++node) {
+    const double roll = rng.uniform();
+    if (roll < 0.7) continue;  // Keep the field reading.
+    const std::size_t li =
+        static_cast<std::size_t>(rng.uniform(0.0, 0.999) *
+                                 static_cast<double>(levels.size()));
+    const double lambda = levels[li];
+    double v = lambda;  // Exactly on the level.
+    if (roll < 0.76) v = lambda + eps;
+    else if (roll < 0.82) v = lambda - eps;
+    else if (roll < 0.88) v = std::nextafter(lambda + eps, 1e30);
+    else if (roll < 0.94) v = std::nextafter(lambda - eps, -1e30);
+    readings[static_cast<std::size_t>(node)] = v;
+    if (roll >= 0.94) continue;
+    for (int nb : s.graph.neighbours(node))
+      readings[static_cast<std::size_t>(nb)] = v;
+  }
+
+  std::vector<SelectionEntry> want;
+  std::vector<double> want_ops(static_cast<std::size_t>(s.graph.size()), 0.0);
+  double want_candidates = 0.0;
+  int flat_nodes = 0;
+  std::vector<int> admitted;
+  for (int node = 0; node < s.graph.size(); ++node) {
+    if (!s.graph.alive(node)) continue;
+    const double node_eps =
+        adaptive_epsilon(s, readings, node, strip_width, eps);
+    flat_nodes += node_eps == eps;
+    const NodeSelectionResult r = oracle::selection_full_scan(
+        s.graph, readings, node, levels, node_eps, admitted);
+    for (int idx : admitted)
+      want.push_back({node, levels[static_cast<std::size_t>(idx)]});
+    want_ops[static_cast<std::size_t>(node)] =
+        r.ops + 4.0 * static_cast<double>(s.graph.neighbours(node).size());
+    want_candidates += r.candidates;
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_GT(flat_nodes, 20);  // The fallback band edge is exercised.
+
+  for (const int threads : {1, 4}) {
+    exec::set_thread_count(threads);
+    obs::MetricsRegistry metrics;
+    std::vector<double> ops;
+    const auto got = [&] {
+      const obs::ObsScope scope(&metrics, nullptr);
+      return select_isoline_nodes_adaptive(s.graph, s.deployment, readings,
+                                           query, strip_width, &ops);
+    }();
+    exec::set_thread_count(0);
+    ASSERT_EQ(got.size(), want.size()) << threads << " threads";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, want[i].node) << "entry " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].isolevel),
+                std::bit_cast<std::uint64_t>(want[i].isolevel))
+          << "entry " << i;
+    }
+    ASSERT_EQ(ops.size(), want_ops.size());
+    for (std::size_t u = 0; u < ops.size(); ++u)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ops[u]),
+                std::bit_cast<std::uint64_t>(want_ops[u]))
+          << "node " << u << ", " << threads << " threads";
+    EXPECT_EQ(metrics.counter("select.candidates"), want_candidates)
+        << threads << " threads";
+  }
 }
 
 class SelectionProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,6 +1,6 @@
 // Vectorization-parity probe: runs every batch kernel that carries a
-// bit-identity contract (fused plane-fit stats, batched point-in-region
-// classification, marching squares, Gaussian field evaluation) on seeded
+// bit-identity contract (plane-fit stats, the level-major point-in-region
+// sieve, marching squares, Gaussian field evaluation) on seeded
 // inputs and prints the raw IEEE-754 bit patterns of the outputs as hex.
 // CI builds this tool twice — once with -ftree-vectorize, once with
 // -fno-tree-vectorize — and diffs the two stdouts: any difference means
@@ -85,22 +85,19 @@ void fit_parity() {
       vs[i] = uniform01(rng) * 10.0 + 0.01 * xs[i] - 0.03 * ys[i];
       aos[i] = {{xs[i], ys[i]}, vs[i]};
     }
-    // Oracle: the split AoS path (position stats, then value stats, then
-    // the solve). The fused SoA kernel must reproduce it bit for bit.
-    const PlanePositionStats pos = oracle::plane_position_stats(aos);
-    const PlaneValueStats val = oracle::plane_value_stats(aos, pos);
-    const auto split = solve_plane(pos, val);
-    const auto fused = fit_plane_soa(xs, ys, vs);
-    report("fit_plane_soa", "has_value",
-           split.has_value() == fused.has_value());
-    if (split && fused) {
+    // Oracle: the array-of-structs fit. The span kernels behind
+    // fit_plane_soa must reproduce it bit for bit.
+    const auto want = oracle::fit_plane(aos);
+    const auto fit = fit_plane_soa(xs, ys, vs);
+    report("fit_plane_soa", "has_value", want.has_value() == fit.has_value());
+    if (want && fit) {
       report("fit_plane_soa", "coefficients",
-             bits(split->c0) == bits(fused->c0) &&
-                 bits(split->c1) == bits(fused->c1) &&
-                 bits(split->c2) == bits(fused->c2));
-      fp.add(fused->c0);
-      fp.add(fused->c1);
-      fp.add(fused->c2);
+             bits(want->c0) == bits(fit->c0) &&
+                 bits(want->c1) == bits(fit->c1) &&
+                 bits(want->c2) == bits(fit->c2));
+      fp.add(fit->c0);
+      fp.add(fit->c1);
+      fp.add(fit->c2);
     }
   }
   std::printf("fit_plane_soa       %016llx\n",
