@@ -9,7 +9,6 @@
 
 #include "exec/exec.hpp"
 #include "isomap/filter.hpp"
-#include "isomap/fingerprint.hpp"
 #include "isomap/node_selection.hpp"
 #include "isomap/regression.hpp"
 #include "obs/obs.hpp"
@@ -54,22 +53,6 @@ bool candidacy_changed(const std::vector<double>& levels, double old_v,
     if (is_candidate(old_v, *it, eps) != is_candidate(new_v, *it, eps))
       return true;
   return false;
-}
-
-bool report_equal(const IsolineReport& a, const IsolineReport& b) {
-  return bits_equal(a.isolevel, b.isolevel) &&
-         bits_equal(a.position.x, b.position.x) &&
-         bits_equal(a.position.y, b.position.y) &&
-         bits_equal(a.gradient.x, b.gradient.x) &&
-         bits_equal(a.gradient.y, b.gradient.y) && a.source == b.source;
-}
-
-bool report_sets_equal(const std::vector<IsolineReport>& a,
-                       const std::vector<IsolineReport>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!report_equal(a[i], b[i])) return false;
-  return true;
 }
 
 }  // namespace
@@ -117,8 +100,8 @@ void ContinuousMapper::set_topology(const Deployment& deployment,
 void ContinuousMapper::drop_caches() {
   caches_primed_ = false;
   for (auto& sc : selection_cache_) sc = SelectionCache{};
-  for (auto& fc : fit_cache_) fc = FitCache{};
-  for (auto& lc : level_cache_) lc = LevelCache{};
+  for (auto& fc : fit_cache_) fc = PlaneFitRecord{};
+  for (auto& lc : level_cache_) lc = CachedLevel{};
   selected_nodes_.clear();
   std::fill(sel_ops_.begin(), sel_ops_.end(), 0.0);
   candidates_total_ = 0;
@@ -138,7 +121,7 @@ void ContinuousMapper::ensure_tables() {
   }
   if (selection_cache_.size() != n) {
     selection_cache_.assign(n, SelectionCache{});
-    fit_cache_.assign(n, FitCache{});
+    fit_cache_.assign(n, PlaneFitRecord{});
     prev_readings_.assign(n, 0.0);
     delta_flags_.assign(n, 0);
     grad_round_.assign(n, -1);
@@ -150,7 +133,7 @@ void ContinuousMapper::ensure_tables() {
     caches_primed_ = false;
   }
   if (level_cache_.size() != static_cast<std::size_t>(num_levels_))
-    level_cache_.assign(static_cast<std::size_t>(num_levels_), LevelCache{});
+    level_cache_.assign(static_cast<std::size_t>(num_levels_), CachedLevel{});
 }
 
 double ContinuousMapper::route_bytes(int from, double bytes,
@@ -246,150 +229,21 @@ int ContinuousMapper::mark_dirty(const std::vector<double>& readings) {
   return static_cast<int>(dirty_list_.size());
 }
 
-void ContinuousMapper::replay_fit_metrics(std::size_t num_samples) {
-  obs::MetricsRegistry* const m = obs::metrics();
-  if (m == nullptr) return;
-  if (obs_slots_.fits == nullptr) {
-    obs_slots_.fits = &m->counter_slot("regression.fits");
-    obs_slots_.samples = &m->histogram_slot("regression.samples");
-  }
-  *obs_slots_.fits += 1.0;
-  obs_slots_.samples->record(static_cast<double>(num_samples));
-}
-
-void ContinuousMapper::replay_degenerate_metric() {
-  obs::MetricsRegistry* const m = obs::metrics();
-  if (m == nullptr) return;
-  if (obs_slots_.degenerate == nullptr)
-    obs_slots_.degenerate = &m->counter_slot("regression.degenerate");
-  *obs_slots_.degenerate += 1.0;
-}
-
-void ContinuousMapper::prime_fit(int node) {
-  // Sample positions (own first, then neighbours ascending) and the
-  // position block of the sufficient statistics are fixed for this
-  // topology; build them once.
-  FitCache& fc = fit_cache_[static_cast<std::size_t>(node)];
-  const auto nbs = graph_->neighbour_span(node);
-  fc.samples.assign(3 * (nbs.size() + 1), 0.0);
-  const auto xs = fc.column(0), ys = fc.column(1);
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    const int v = k == 0 ? node : nbs[k - 1];
-    const Vec2 p = deployment_->node(v).reported_pos();
-    xs[k] = p.x;
-    ys[k] = p.y;
-  }
-  fc.pos_stats = plane_position_stats(xs, ys);
-  fc.primed = true;
-  fc.valid = false;
-}
-
-void ContinuousMapper::refit(int node, const std::vector<double>& readings) {
-  FitCache& fc = fit_cache_[static_cast<std::size_t>(node)];
-  // A sample reading changed: refresh the values in place and redo only
-  // the value block + solve. The cached position block is the bit-exact
-  // result of plane_position_stats over these positions, so the fit
-  // equals fit_plane_soa over the refreshed samples bit for bit.
-  const auto vs = fc.column(2);
-  vs[0] = readings[static_cast<std::size_t>(node)];
-  std::size_t i = 1;
-  for (int nb : graph_->neighbour_span(node))
-    vs[i++] = readings[static_cast<std::size_t>(nb)];
-  fc.ops = 0.0;
-  fc.has_fit = false;
-  if (vs.size() >= 3) {
-    const PlaneValueStats val =
-        plane_value_stats(fc.column(0), fc.column(1), vs, fc.pos_stats);
-    if (const auto fit = solve_plane(fc.pos_stats, val)) {
-      fc.has_fit = true;
-      fc.gradient = fit->descent_direction();
-      fc.ops = fit_plane_ops(vs.size());
-    }
-  }
-  fc.valid = true;
-}
-
 std::optional<Vec2> ContinuousMapper::gradient_for(int node, Ledger& ledger) {
   const auto u = static_cast<std::size_t>(node);
   if (grad_round_[u] == round_counter_) return grad_value_[u];
 
-  const FitCache& fc = fit_cache_[u];
+  const PlaneFitRecord& fc = fit_cache_[u];
   assert(fc.primed && fc.valid);
   // Replay a fresh fit's instrumentation and ledger charge, whether the
   // fit was redone this round or is reused. (A degenerate node is
   // replayed per selected entry, as a fresh refit per entry would charge.)
-  replay_fit_metrics(fc.size());
-  if (!fc.has_fit) replay_degenerate_metric();
+  fit_metrics_.record(fc.size(), fc.has_fit);
   ledger.compute(node, fc.ops);
   if (!fc.has_fit) return std::nullopt;
   grad_round_[u] = round_counter_;
-  grad_value_[u] = fc.gradient;
+  grad_value_[u] = fc.descent;
   return grad_value_[u];
-}
-
-ContourMap ContinuousMapper::build_map(
-    const std::vector<IsolineReport>& reports) {
-  obs::PhaseTimer timer(obs::kPhaseMapGen);
-  obs::count("map_gen.reports", static_cast<double>(reports.size()));
-  obs::count("map_gen.levels", static_cast<double>(num_levels_));
-  const FieldBounds bounds = deployment_->bounds();
-  const auto k = static_cast<std::size_t>(num_levels_);
-
-  // Group by level with ContourMapBuilder::build's rule. The grouping
-  // vectors are member scratch so their capacity survives across rounds.
-  std::vector<std::vector<IsolineReport>>& level_reports = level_scratch_;
-  group_reports_by_level(reports, isolevels_, level_reports);
-
-  // Fingerprint each level's post-filter report set; a level whose set
-  // is unchanged (fingerprint pre-filter, exact comparison as the
-  // authority) reuses its cached region — LevelRegion construction is a
-  // pure function of (isolevel, reports, bounds, mode).
-  std::vector<std::size_t> dirty;
-  std::vector<std::uint64_t> fingerprints(k);
-  for (std::size_t li = 0; li < k; ++li) {
-    fingerprints[li] = fingerprint_reports(level_reports[li]);
-    LevelCache& lc = level_cache_[li];
-    if (lc.valid && lc.fingerprint == fingerprints[li] &&
-        report_sets_equal(lc.reports, level_reports[li]))
-      continue;
-    dirty.push_back(li);
-  }
-  last_fingerprints_ = fingerprints;
-  obs::count("continuous.levels_rebuilt", static_cast<double>(dirty.size()));
-
-  // Rebuild dirty levels across the pool: each slot is written by
-  // exactly one task, so the result matches the serial loop bit for bit
-  // (the exec determinism contract ContourMapBuilder relies on too).
-  // Pool dispatch costs more than a couple of small region builds, so a
-  // near-clean round stays on this thread. Either path constructs each
-  // level independently, so the result is identical.
-  std::vector<std::shared_ptr<const LevelRegion>> built(dirty.size());
-  const auto build_one = [&](std::size_t i) {
-    const std::size_t li = dirty[i];
-    built[i] = std::make_shared<const LevelRegion>(
-        isolevels_[li], level_reports[li], bounds, options_.base.regulation);
-  };
-  if (dirty.size() <= 4) {
-    for (std::size_t i = 0; i < dirty.size(); ++i) build_one(i);
-  } else {
-    exec::parallel_for(dirty.size(), build_one);
-  }
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const std::size_t li = dirty[i];
-    LevelCache& lc = level_cache_[li];
-    lc.valid = true;
-    lc.fingerprint = fingerprints[li];
-    lc.reports = std::move(level_reports[li]);
-    lc.region = std::move(built[i]);
-  }
-
-  // Assemble by reference: clean levels share the cached region with the
-  // returned map (no deep copies of Voronoi cells or boundaries).
-  std::vector<std::shared_ptr<const LevelRegion>> regions;
-  regions.reserve(k);
-  for (std::size_t li = 0; li < k; ++li)
-    regions.push_back(level_cache_[li].region);
-  return ContourMap(bounds, std::move(regions));
 }
 
 RoundResult ContinuousMapper::round(const ScalarField& field_now,
@@ -409,7 +263,7 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   ensure_tables();
   if (options_.engine == ContinuousEngine::kOracle) drop_caches();
   ++round_counter_;
-  obs_slots_ = RegressionObsSlots{};  // The registry can change per round.
+  fit_metrics_ = FitMetrics{};  // The registry can change per round.
 
   // --- Beacon (readings were sensed by the caller). ---
   double beacon_bytes = 0.0;
@@ -427,75 +281,38 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   const int dirty_nodes = mark_dirty(readings);
   obs::count("continuous.dirty_nodes", static_cast<double>(dirty_nodes));
   {
-    const double eps = query.epsilon();
-    // Re-evaluate Definition 3.1 only at the dirty nodes — across the
-    // exec pool over tile blocks of the (ascending) dirty list, since
-    // evaluate_node_selection is pure. Each block records its nodes'
-    // results plus the concatenated admitted level indices; the serial
-    // merge below then updates the persistent selected-node list, the
-    // per-node op charges and the candidate total in dirty-list order,
-    // exactly as the serial loop did — clean nodes cost nothing here.
-    // Scoped so the per-block results are freed before routing and the
-    // sink build.
-    struct DirtyEval {
-      double ops = 0.0;
-      int candidates = 0;
-      std::uint32_t admitted_count = 0;
-    };
-    struct DirtyBlock {
-      std::vector<DirtyEval> evals;  ///< One per dirty node of the block.
-      std::vector<int> admitted;     ///< Concatenated admitted indices.
-    };
-    const TileBlocks dirty_blocks{dirty_list_.size(), 1024};
-    std::vector<DirtyBlock> per_block(dirty_blocks.count());
-    exec::parallel_for_blocks(
-        dirty_blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
-          DirtyBlock& out = per_block[b];
-          out.evals.reserve(end - begin);
-          thread_local std::vector<int> admitted;
-          for (std::size_t i = begin; i < end; ++i) {
-            const int v = dirty_list_[i];
-            DirtyEval ev;
-            if (graph_->alive(v)) {
-              const NodeSelectionResult fresh = evaluate_node_selection(
-                  *graph_, readings, v, isolevels_, eps, admitted);
-              ev.ops = fresh.ops;
-              ev.candidates = fresh.candidates;
-              ev.admitted_count = static_cast<std::uint32_t>(admitted.size());
-              out.admitted.insert(out.admitted.end(), admitted.begin(),
-                                  admitted.end());
-            }
-            out.evals.push_back(ev);
-          }
-        });
-    for (std::size_t b = 0; b < per_block.size(); ++b) {
-      const DirtyBlock& blk = per_block[b];
-      std::size_t off = 0;
-      for (std::size_t j = 0; j < blk.evals.size(); ++j) {
-        const int v = dirty_list_[dirty_blocks.begin(b) + j];
-        const DirtyEval& ev = blk.evals[j];
-        if (!graph_->alive(v)) continue;
-        const auto u = static_cast<std::size_t>(v);
-        SelectionCache& sc = selection_cache_[u];
-        const bool was_selected = !sc.levels.empty();
-        candidates_total_ -= sc.candidates;
-        sc.levels.assign(blk.admitted.begin() + static_cast<std::ptrdiff_t>(off),
-                         blk.admitted.begin() +
-                             static_cast<std::ptrdiff_t>(off + ev.admitted_count));
-        off += ev.admitted_count;
-        sc.ops = ev.ops;
-        sc.candidates = ev.candidates;
-        sel_ops_[u] = ev.ops;
-        candidates_total_ += sc.candidates;
-        const bool now_selected = !sc.levels.empty();
-        if (now_selected != was_selected) {
-          const auto it = std::lower_bound(selected_nodes_.begin(),
-                                           selected_nodes_.end(), v);
-          if (now_selected)
-            selected_nodes_.insert(it, v);
-          else
-            selected_nodes_.erase(it);
-        }
+    // Re-evaluate Definition 3.1 only at the dirty nodes, through the
+    // selection stage single-shot runs over every node; then update the
+    // persistent selected-node list and the candidate total. select_nodes
+    // records the dirty nodes with a candidate level, in dirty-list order
+    // and with their op charges already in sel_ops_; every other dirty
+    // node now selects nothing — clean nodes cost nothing here.
+    const NodeSelections fresh = select_nodes(
+        *graph_, readings, &dirty_list_, isolevels_, query.epsilon(), sel_ops_);
+    candidates_total_ += fresh.candidates;
+    std::size_t r = 0, off = 0;
+    for (const int v : dirty_list_) {
+      SelectionCache& sc = selection_cache_[static_cast<std::size_t>(v)];
+      const bool was_selected = !sc.levels.empty();
+      candidates_total_ -= sc.candidates;
+      sc.candidates = 0;
+      sc.levels.clear();
+      if (r < fresh.nodes.size() && fresh.nodes[r].node == v) {
+        const NodeSelection& rec = fresh.nodes[r++];
+        sc.candidates = rec.candidates;
+        const auto first =
+            fresh.levels.begin() + static_cast<std::ptrdiff_t>(off);
+        sc.levels.assign(first, first + rec.admitted);
+        off += static_cast<std::size_t>(rec.admitted);
+      }
+      const bool now_selected = !sc.levels.empty();
+      if (now_selected != was_selected) {
+        const auto it = std::lower_bound(selected_nodes_.begin(),
+                                         selected_nodes_.end(), v);
+        if (now_selected)
+          selected_nodes_.insert(it, v);
+        else
+          selected_nodes_.erase(it);
       }
     }
   }
@@ -529,7 +346,7 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   // --- Regression + delta generation for currently selected pairs. ---
   // One regression per distinct node per round (shared across levels).
   // Stale fits are redone first, across the pool: each task writes only
-  // its node's FitCache, so the ordered loop below finds every fit
+  // its node's fit record, so the ordered loop below finds every fit
   // current and makes its charges and metric emissions in entry order.
   // `selected` ascends by node, so a node's entries are adjacent. Priming
   // allocates, so it stays on this thread: sample buffers allocated on
@@ -538,18 +355,21 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   refit_nodes_.clear();
   for (const SelectionEntry& entry : selected) {
     const int v = entry.node;
-    const FitCache& fc = fit_cache_[static_cast<std::size_t>(v)];
+    PlaneFitRecord& fc = fit_cache_[static_cast<std::size_t>(v)];
     if ((fc.primed && fc.valid) || !tree_->reachable(v) ||
         (!refit_nodes_.empty() && refit_nodes_.back() == v))
       continue;
-    if (!fc.primed) prime_fit(v);
+    if (!fc.primed) fc.prime(*deployment_, v, graph_->neighbour_span(v));
     refit_nodes_.push_back(v);
   }
   exec::parallel_for_blocks(
       TileBlocks{refit_nodes_.size(), kRefitBlock},
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          refit(refit_nodes_[i], readings);
+        for (std::size_t i = begin; i < end; ++i) {
+          const int v = refit_nodes_[i];
+          fit_cache_[static_cast<std::size_t>(v)].refit(
+              readings, v, graph_->neighbour_span(v));
+        }
       });
   for (std::size_t si = 0; si < selected.size(); ++si) {
     const auto& entry = selected[si];
@@ -648,18 +468,21 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   route_timer.stop();
 
   // --- Sink rebuild: spatial filter, then map construction. ---
-  std::vector<IsolineReport> reports;
-  reports.reserve(static_cast<std::size_t>(sink_count_));
-  for (const std::size_t key : sink_keys_)
-    reports.push_back(sink_table_[key].report);
-  if (query.enable_filtering) {
-    const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
-    const InNetworkFilter filter = InNetworkFilter::from_query(query);
-    reports = filter.filter(std::move(reports));
-  }
+  std::optional<obs::PhaseTimer> filter_timer;
+  if (query.enable_filtering) filter_timer.emplace(obs::kPhaseFilter);
+  const std::vector<IsolineReport> reports = post_filter_reports();
+  filter_timer.reset();
   result.active_reports = sink_count_;
   result.beacon_traffic_bytes = beacon_bytes;
-  result.map = build_map(reports);
+  std::size_t levels_rebuilt = 0;
+  const ContourMapBuilder builder(deployment_->bounds(),
+                                  options_.base.regulation);
+  result.map =
+      builder.build(reports, isolevels_, level_cache_, &levels_rebuilt);
+  obs::count("continuous.levels_rebuilt", static_cast<double>(levels_rebuilt));
+  last_fingerprints_.resize(level_cache_.size());
+  for (std::size_t li = 0; li < level_cache_.size(); ++li)
+    last_fingerprints_[li] = level_cache_[li].fingerprint;
   prev_readings_ = readings;
   caches_primed_ = true;
   return result;

@@ -2,14 +2,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "isomap/contour_map.hpp"
 #include "isomap/protocol.hpp"
 #include "isomap/regression.hpp"
-#include "obs/metrics.hpp"
 
 namespace isomap {
 
@@ -17,10 +15,12 @@ namespace isomap {
 /// Both produce bitwise-identical outputs (RoundResult, ledger charges,
 /// sink table, per-level contours, observability counters other than
 /// the continuous.* diagnostics): a round with its caches dropped is the
-/// same code as a round with every input changed. The independent
-/// references (select_isoline_nodes, ContourMapBuilder, the
-/// array-of-structs plane fit) are checked against both in
-/// tests/continuous_incremental_test.cpp. The enumerator values are part
+/// same code as a round with every input changed. Both are checked in
+/// tests/continuous_incremental_test.cpp against references in
+/// tests/oracles that share no code with the round path (the full-scan
+/// Definition 3.1 evaluation, a serial uncached map build and the
+/// array-of-structs plane fit), and a cold round against
+/// IsoMapProtocol::run's sink reports. The enumerator values are part
 /// of the run-capsule wire format. See docs/PERFORMANCE.md ("Incremental
 /// continuous mapping").
 enum class ContinuousEngine {
@@ -160,7 +160,8 @@ class ContinuousMapper {
   /// the exact (node, level) order and with the exact filter decisions
   /// round() feeds its map build. ContourMapBuilder::build over this list
   /// reproduces the last round's map bit for bit — the service's oracle
-  /// mode rebuilds from it and diffs the bytes. Emits no obs phases.
+  /// mode rebuilds from it and diffs the bytes. Emits no obs phases;
+  /// round() times the filter around its call.
   std::vector<IsolineReport> post_filter_reports() const;
 
  private:
@@ -179,49 +180,12 @@ class ContinuousMapper {
     int last_update = 0;
   };
 
-  /// Cached Definition 3.1 outcome for one node: admitted level indices,
-  /// modelled op charge and candidate count. Reused verbatim while the
-  /// node's selection inputs are provably unchanged.
+  /// Cached Definition 3.1 outcome for one node: admitted level indices
+  /// and candidate count (the op charge lives in sel_ops_). Reused
+  /// verbatim while the node's selection inputs are provably unchanged.
   struct SelectionCache {
     std::vector<int> levels;
-    double ops = 0.0;
     int candidates = 0;
-  };
-
-  /// Cached regression state for one node: the static sample positions
-  /// (own + 1-hop neighbours) with the position block of the sufficient
-  /// statistics (computed once per topology), plus the last fit while no
-  /// sample reading has changed.
-  struct FitCache {
-    bool primed = false;  ///< samples/pos_stats built for this topology.
-    bool valid = false;   ///< gradient/ops reflect the current readings.
-    bool has_fit = false;
-    Vec2 gradient{};
-    double ops = 0.0;
-    PlanePositionStats pos_stats;
-    /// The samples as three parallel arrays back to back, [xs | ys | vs],
-    /// in one buffer (one allocation and one vector per node): xs and ys
-    /// are written once at prime, only vs is rewritten on refresh.
-    std::vector<double> samples;
-
-    std::size_t size() const { return samples.size() / 3; }
-    /// Column c of the buffer: 0 = xs, 1 = ys, 2 = vs.
-    std::span<double> column(std::size_t c) {
-      return std::span<double>(samples).subspan(c * size(), size());
-    }
-  };
-
-  /// Cached sink-side contour region for one isolevel, keyed by the
-  /// fingerprint (and, authoritatively, the retained copy) of the
-  /// level's post-filter report set.
-  struct LevelCache {
-    bool valid = false;
-    std::uint64_t fingerprint = 0;
-    std::vector<IsolineReport> reports;
-    /// Shared with every ContourMap that reused this level: LevelRegion
-    /// is immutable after construction, so clean rounds hand the map a
-    /// reference instead of a deep copy.
-    std::shared_ptr<const LevelRegion> region;
   };
 
   std::size_t slot(int node, int level) const {
@@ -249,32 +213,11 @@ class ContinuousMapper {
   /// must re-evaluate Definition 3.1.
   int mark_dirty(const std::vector<double>& readings);
 
-  /// Build `node`'s fit cache for this topology: the sample positions
-  /// and the position block of their sufficient statistics. Allocates
-  /// the sample buffer; leaves the fit invalid.
-  void prime_fit(int node);
-
-  /// Refit a primed node from `readings`. Writes only that node's
-  /// FitCache and allocates nothing — no metrics, no ledger charge — so
-  /// the round's pre-pass runs it across the pool.
-  void refit(int node, const std::vector<double>& readings);
-
   /// Gradient for a selected node this round (memoised per round), from
-  /// the node's fit cache, which the round's pre-pass has primed and
+  /// the node's fit record, which the round's pre-pass has primed and
   /// refit. Returns nullopt on a degenerate fit. Replays the fit's
   /// metrics and charges its ops to `ledger` on every call.
   std::optional<Vec2> gradient_for(int node, Ledger& ledger);
-
-  /// Replay a fresh fit's metric emissions ("regression.fits" +
-  /// one "regression.samples" observation, or one
-  /// "regression.degenerate" count) through the cached per-round slots.
-  void replay_fit_metrics(std::size_t num_samples);
-  void replay_degenerate_metric();
-
-  /// Sink phase: group the post-filter reports per level, fingerprint
-  /// each group, rebuild only dirty levels (in parallel) and reuse cached
-  /// regions for the rest.
-  ContourMap build_map(const std::vector<IsolineReport>& reports);
 
   ContinuousOptions options_;
   const Deployment* deployment_;
@@ -304,8 +247,13 @@ class ContinuousMapper {
   bool caches_primed_ = false;
   std::vector<double> prev_readings_;
   std::vector<SelectionCache> selection_cache_;
-  std::vector<FitCache> fit_cache_;
-  std::vector<LevelCache> level_cache_;
+  /// Per-node plane fits over the node and its 1-hop neighbours: the
+  /// positions are primed once per topology, the fit redone only when a
+  /// sample reading changed.
+  std::vector<PlaneFitRecord> fit_cache_;
+  /// The sink build's per-level cache: a level whose post-filter report
+  /// set is unchanged keeps its region.
+  std::vector<CachedLevel> level_cache_;
 
   /// Persistent selection aggregates so a clean round emits its selected
   /// set in O(|selected|) instead of rescanning every node: the sorted
@@ -320,17 +268,8 @@ class ContinuousMapper {
   /// ranks only the new value. Valid whenever caches_primed_ is true.
   std::vector<std::pair<int, int>> rank_cache_;
 
-  /// Per-round lazily resolved metric slots for the regression replay —
-  /// one map lookup per round instead of one per selected node. Reset at
-  /// the top of every round; resolved on first use so counters appear in
-  /// the registry exactly when a fresh per-fit emission would have
-  /// created them.
-  struct RegressionObsSlots {
-    double* fits = nullptr;
-    obs::Histogram* samples = nullptr;
-    double* degenerate = nullptr;
-  };
-  RegressionObsSlots obs_slots_;
+  /// The regression metric replay, reset at the top of every round.
+  FitMetrics fit_metrics_;
 
   /// Per-round scratch (members to avoid per-round allocation).
   std::vector<std::uint8_t> delta_flags_;     ///< mark_dirty's pass-1 flags.
@@ -341,8 +280,6 @@ class ContinuousMapper {
   std::vector<std::size_t> now_keys_;  ///< Slots written this round.
   std::vector<int> grad_round_;   ///< Per-node round stamp of grad_value_.
   std::vector<Vec2> grad_value_;  ///< Per-round gradient memo.
-  /// Per-level report grouping scratch for build_map.
-  std::vector<std::vector<IsolineReport>> level_scratch_;
 };
 
 }  // namespace isomap

@@ -1,13 +1,14 @@
 #include "isomap/contour_map.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-
 #include <optional>
 
 #include "exec/exec.hpp"
 #include "geometry/segment.hpp"
+#include "isomap/fingerprint.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
@@ -28,6 +29,21 @@ std::optional<Vec2> line_line_intersection(const Line& l1, const Line& l2) {
 }
 
 constexpr double kTinyArea = 1e-9;
+
+/// Bitwise report equality over the fields fingerprint_reports hashes.
+bool report_equal(const IsolineReport& a, const IsolineReport& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.isolevel) == bits(b.isolevel) &&
+         bits(a.position.x) == bits(b.position.x) &&
+         bits(a.position.y) == bits(b.position.y) &&
+         bits(a.gradient.x) == bits(b.gradient.x) &&
+         bits(a.gradient.y) == bits(b.gradient.y) && a.source == b.source;
+}
+
+bool report_sets_equal(const std::vector<IsolineReport>& a,
+                       const std::vector<IsolineReport>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), report_equal);
+}
 
 }  // namespace
 
@@ -335,25 +351,55 @@ ContourMapBuilder::ContourMapBuilder(FieldBounds bounds, RegulationMode mode)
 
 ContourMap ContourMapBuilder::build(const std::vector<IsolineReport>& reports,
                                     const std::vector<double>& isolevels) const {
+  std::vector<CachedLevel> cache;
+  return build(reports, isolevels, cache);
+}
+
+ContourMap ContourMapBuilder::build(const std::vector<IsolineReport>& reports,
+                                    const std::vector<double>& isolevels,
+                                    std::vector<CachedLevel>& cache,
+                                    std::size_t* rebuilt) const {
   // Sink-side construction: wall time per level is the observable; no
   // ledger charge (the sink is a powered host).
   obs::PhaseTimer timer(obs::kPhaseMapGen);
   obs::count("map_gen.reports", static_cast<double>(reports.size()));
   obs::count("map_gen.levels", static_cast<double>(isolevels.size()));
+  const std::size_t k = isolevels.size();
   std::vector<std::vector<IsolineReport>> level_reports;
   group_reports_by_level(reports, isolevels, level_reports);
-  // Each level's Voronoi/regulation construction is independent; build
-  // them across the pool (each slot written by exactly one task, so the
-  // result is identical to the serial loop).
-  const std::size_t k = isolevels.size();
-  std::vector<std::optional<LevelRegion>> slots(k);
-  exec::parallel_for(k, [&](std::size_t li) {
-    slots[li].emplace(isolevels[li], std::move(level_reports[li]), bounds_,
-                      mode_);
-  });
-  std::vector<LevelRegion> regions;
+  cache.resize(k);
+
+  // LevelRegion construction is a pure function of (isolevel, reports,
+  // bounds, mode), so a level whose report set is unchanged keeps its
+  // region; the fingerprint screens, the exact comparison decides.
+  std::vector<std::size_t> dirty;
+  for (std::size_t li = 0; li < k; ++li) {
+    CachedLevel& entry = cache[li];
+    const std::uint64_t fingerprint = fingerprint_reports(level_reports[li]);
+    if (entry.region && entry.fingerprint == fingerprint &&
+        report_sets_equal(entry.region->reports(), level_reports[li]))
+      continue;
+    entry.fingerprint = fingerprint;
+    dirty.push_back(li);
+  }
+  if (rebuilt) *rebuilt = dirty.size();
+
+  // Each slot is written by exactly one task, so the pool's result is the
+  // serial loop's.
+  const auto build_one = [&](std::size_t i) {
+    const std::size_t li = dirty[i];
+    cache[li].region = std::make_shared<const LevelRegion>(
+        isolevels[li], std::move(level_reports[li]), bounds_, mode_);
+  };
+  if (dirty.size() <= 4 && dirty.size() < k) {
+    for (std::size_t i = 0; i < dirty.size(); ++i) build_one(i);
+  } else {
+    exec::parallel_for(dirty.size(), build_one);
+  }
+
+  std::vector<std::shared_ptr<const LevelRegion>> regions;
   regions.reserve(k);
-  for (auto& slot : slots) regions.push_back(std::move(*slot));
+  for (const CachedLevel& entry : cache) regions.push_back(entry.region);
   return ContourMap(bounds_, std::move(regions));
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -135,6 +136,15 @@ void group_reports_by_level(std::span<const IsolineReport> reports,
                             std::span<const double> isolevels,
                             std::vector<std::vector<IsolineReport>>& levels);
 
+/// One isolevel's entry in a ContourMapBuilder level cache: the region
+/// last built for the level, which retains the report set it was built
+/// from, and that set's fingerprint_reports. A default entry matches no
+/// report set.
+struct CachedLevel {
+  std::uint64_t fingerprint = 0;
+  std::shared_ptr<const LevelRegion> region;
+};
+
 /// Builds ContourMaps from sink-side report sets.
 class ContourMapBuilder {
  public:
@@ -143,9 +153,24 @@ class ContourMapBuilder {
 
   /// Group `reports` by isolevel (group_reports_by_level; one
   /// LevelRegion per entry of `isolevels`, ascending) and construct the
-  /// stacked map, each level's region built across the exec pool.
+  /// stacked map: the cached build below with an empty cache.
   ContourMap build(const std::vector<IsolineReport>& reports,
                    const std::vector<double>& isolevels) const;
+
+  /// The sink build of both engines. `cache` is resized to one entry per
+  /// isolevel. A level whose report set equals its entry's (fingerprint
+  /// first, a bitwise comparison with the region's retained reports
+  /// deciding) reuses the cached region by reference; every other level
+  /// is rebuilt and its entry replaced, so afterwards each entry holds
+  /// its level's current fingerprint. Rebuilds spread over the exec pool,
+  /// except that a partial rebuild of at most 4 levels stays on this
+  /// thread, where pool dispatch costs more than the builds; levels are
+  /// built independently, so the map is the same either way. `rebuilt`,
+  /// if non-null, receives the number of levels built.
+  ContourMap build(const std::vector<IsolineReport>& reports,
+                   const std::vector<double>& isolevels,
+                   std::vector<CachedLevel>& cache,
+                   std::size_t* rebuilt = nullptr) const;
 
  private:
   FieldBounds bounds_;

@@ -10,79 +10,85 @@ namespace isomap {
 namespace {
 
 /// Tile-block size of the parallel selection sweep. Per-node work is
-/// O(levels + deg), so blocks this size amortise chunk handout while a
-/// 10^6-node sweep still splits into ~500 blocks of parallel slack.
-constexpr std::size_t kSelectTileBlock = 2048;
+/// O(levels + deg), so blocks this size amortise chunk handout, while a
+/// continuous round's dirty list of a few thousand nodes still splits
+/// into several blocks per worker.
+constexpr std::size_t kSelectTileBlock = 1024;
 
-/// One tile block's selection output, filled by a pool worker. Entries
-/// are in ascending node order within the block; blocks concatenated in
-/// block order reproduce the serial sweep's entry order exactly.
-struct SelectionBlock {
-  std::vector<SelectionEntry> entries;
-  std::size_t candidates = 0;
-};
-
-/// Shared parallel driver for both selection variants: evaluate(node,
-/// out_entries) must be pure (no obs, no shared writes — it runs on pool
-/// workers) and return the node's modelled ops; ops_per_node slots are
-/// disjoint per node. The serial tail merges in block order: per-entry
-/// trace events, the candidate total and the final entry vector come out
-/// identical to the old single-thread sweep at any thread count.
+/// The block-parallel loop behind select_nodes and the adaptive sweep:
+/// evaluate(node, admitted) must be pure (no obs, no shared writes — it
+/// runs on pool workers) and return the node's NodeSelectionResult; ops
+/// slots are disjoint per node. Blocks partition the ascending range, so
+/// their outputs concatenated in block order are the serial sweep's.
 template <typename EvaluateFn>
-std::vector<SelectionEntry> select_over_blocks(
-    const CommGraph& graph, std::vector<double>* ops_per_node,
-    const EvaluateFn& evaluate) {
-  const auto n = static_cast<std::size_t>(graph.size());
-  if (ops_per_node) ops_per_node->assign(n, 0.0);
-
-  const TileBlocks blocks{n, kSelectTileBlock};
-  std::vector<SelectionBlock> per_block(blocks.count());
+NodeSelections select_over_blocks(const CommGraph& graph,
+                                  const std::vector<int>* nodes,
+                                  std::span<double> ops,
+                                  const EvaluateFn& evaluate) {
+  const std::size_t count =
+      nodes ? nodes->size() : static_cast<std::size_t>(graph.size());
+  const TileBlocks blocks{count, kSelectTileBlock};
+  std::vector<NodeSelections> per_block(blocks.count());
   exec::parallel_for_blocks(
       blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
-        SelectionBlock& out = per_block[b];
-        for (std::size_t u = begin; u < end; ++u) {
-          const int node = static_cast<int>(u);
+        // Admitted-index scratch, allocation-free across nodes and
+        // private to each pool thread.
+        thread_local std::vector<int> admitted;
+        NodeSelections& out = per_block[b];
+        for (std::size_t i = begin; i < end; ++i) {
+          const int node = nodes ? (*nodes)[i] : static_cast<int>(i);
           if (!graph.alive(node)) continue;
-          double ops = 0.0;
-          out.candidates += evaluate(node, out.entries, ops);
-          if (ops_per_node) (*ops_per_node)[u] = ops;
+          const NodeSelectionResult result = evaluate(node, admitted);
+          if (!ops.empty()) ops[static_cast<std::size_t>(node)] = result.ops;
+          if (result.candidates == 0) continue;
+          out.candidates += result.candidates;
+          out.nodes.push_back(
+              {node, result.candidates, static_cast<int>(admitted.size())});
+          out.levels.insert(out.levels.end(), admitted.begin(),
+                            admitted.end());
         }
       });
 
-  std::size_t total = 0;
-  for (const SelectionBlock& blk : per_block) total += blk.entries.size();
+  NodeSelections merged;
+  for (NodeSelections& blk : per_block) {
+    merged.candidates += blk.candidates;
+    merged.nodes.insert(merged.nodes.end(), blk.nodes.begin(),
+                        blk.nodes.end());
+    merged.levels.insert(merged.levels.end(), blk.levels.begin(),
+                         blk.levels.end());
+  }
+  return merged;
+}
+
+/// The single-shot sweeps' serial tail: expand the records into
+/// (node, isolevel) entries in ascending (node, level) order, with one
+/// trace note per entry and the candidate total counted.
+std::vector<SelectionEntry> to_entries(const NodeSelections& selections,
+                                       const std::vector<double>& levels) {
   std::vector<SelectionEntry> selected;
-  selected.reserve(total);
+  selected.reserve(selections.levels.size());
   obs::TraceSink* const sink = obs::trace();
-  std::size_t candidates = 0;
-  for (const SelectionBlock& blk : per_block) {
-    candidates += blk.candidates;
-    for (const SelectionEntry& e : blk.entries) {
-      selected.push_back(e);
-      trace_selection(sink, e.node, e.isolevel);
+  std::size_t off = 0;
+  for (const NodeSelection& rec : selections.nodes) {
+    for (int k = 0; k < rec.admitted; ++k) {
+      const double lambda = levels[static_cast<std::size_t>(
+          selections.levels[off++])];
+      selected.push_back({rec.node, lambda});
+      trace_selection(sink, rec.node, lambda);
     }
   }
-  if (candidates > 0)
-    obs::count("select.candidates", static_cast<double>(candidates));
+  if (selections.candidates > 0)
+    obs::count("select.candidates",
+               static_cast<double>(selections.candidates));
   return selected;
 }
 
-/// Definition 3.1 for one node with border half-width `epsilon`:
-/// appends the node's admitted (node, isolevel) entries and returns the
-/// evaluator's ops and candidate count. Blocks run concurrently, so the
-/// admitted-index scratch is thread_local: allocation-free across nodes
-/// and private to each pool thread.
-NodeSelectionResult select_node(const CommGraph& graph,
-                                const std::vector<double>& readings, int node,
-                                const std::vector<double>& levels,
-                                double epsilon,
-                                std::vector<SelectionEntry>& entries) {
-  thread_local std::vector<int> admitted;
-  const NodeSelectionResult result =
-      evaluate_node_selection(graph, readings, node, levels, epsilon, admitted);
-  for (int idx : admitted)
-    entries.push_back({node, levels[static_cast<std::size_t>(idx)]});
-  return result;
+/// `ops_per_node` zeroed to one slot per node, as the sweep's ops span.
+std::span<double> zeroed_ops(const CommGraph& graph,
+                             std::vector<double>* ops_per_node) {
+  if (ops_per_node == nullptr) return {};
+  ops_per_node->assign(static_cast<std::size_t>(graph.size()), 0.0);
+  return *ops_per_node;
 }
 
 }  // namespace
@@ -157,15 +163,26 @@ bool is_isoline_node(double reading,
   return false;
 }
 
+NodeSelections select_nodes(const CommGraph& graph,
+                            const std::vector<double>& readings,
+                            const std::vector<int>* nodes,
+                            const std::vector<double>& levels, double epsilon,
+                            std::span<double> ops) {
+  return select_over_blocks(
+      graph, nodes, ops, [&](int node, std::vector<int>& admitted) {
+        return evaluate_node_selection(graph, readings, node, levels, epsilon,
+                                       admitted);
+      });
+}
+
 std::vector<SelectionEntry> select_isoline_nodes_adaptive(
     const CommGraph& graph, const Deployment& deployment,
     const std::vector<double>& readings, const ContourQuery& query,
     double strip_width, std::vector<double>* ops_per_node) {
   const auto levels = query.isolevels();
-  return select_over_blocks(
-      graph, ops_per_node,
-      [&](int node, std::vector<SelectionEntry>& entries,
-          double& out_ops) -> std::size_t {
+  const NodeSelections selections = select_over_blocks(
+      graph, nullptr, zeroed_ops(graph, ops_per_node),
+      [&](int node, std::vector<int>& admitted) {
         const double v = readings[static_cast<std::size_t>(node)];
         const Vec2 pos = deployment.node(node).pos;
 
@@ -186,27 +203,22 @@ std::vector<SelectionEntry> select_isoline_nodes_adaptive(
         // Definition 3.1 with the node's own epsilon. Every op is a small
         // integer in a double, so adding the slope loop's share after the
         // evaluator's is exact.
-        const NodeSelectionResult result =
-            select_node(graph, readings, node, levels, eps, entries);
-        out_ops = result.ops + ops;
-        return static_cast<std::size_t>(result.candidates);
+        NodeSelectionResult result = evaluate_node_selection(
+            graph, readings, node, levels, eps, admitted);
+        result.ops += ops;
+        return result;
       });
+  return to_entries(selections, levels);
 }
 
 std::vector<SelectionEntry> select_isoline_nodes(
     const CommGraph& graph, const std::vector<double>& readings,
     const ContourQuery& query, std::vector<double>* ops_per_node) {
   const auto levels = query.isolevels();
-  const double eps = query.epsilon();
-  return select_over_blocks(
-      graph, ops_per_node,
-      [&](int node, std::vector<SelectionEntry>& entries,
-          double& out_ops) -> std::size_t {
-        const NodeSelectionResult result =
-            select_node(graph, readings, node, levels, eps, entries);
-        out_ops = result.ops;
-        return static_cast<std::size_t>(result.candidates);
-      });
+  return to_entries(select_nodes(graph, readings, nullptr, levels,
+                                 query.epsilon(),
+                                 zeroed_ops(graph, ops_per_node)),
+                    levels);
 }
 
 }  // namespace isomap

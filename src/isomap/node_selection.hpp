@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,8 +64,8 @@ struct NodeSelectionResult {
 
 /// Evaluate Definition 3.1 for one node against every level: `admitted`
 /// receives the indices (into `levels`, ascending) the node self-selects
-/// for. Shared by both selection sweeps and the continuous mapper's
-/// incremental engine, so all produce identical entries, ops and
+/// for. select_nodes and the adaptive sweep run it at every node they
+/// evaluate, so both engines produce identical entries, ops and
 /// candidate counts by construction.
 ///
 /// `levels` must be ascending (ContourQuery::isolevels() is). The level
@@ -82,6 +83,38 @@ NodeSelectionResult evaluate_node_selection(const CommGraph& graph,
                                             const std::vector<double>& levels,
                                             double epsilon,
                                             std::vector<int>& admitted);
+
+/// One node's Definition 3.1 outcome as select_nodes records it. Only
+/// nodes with a candidate level get a record (every admitted level is a
+/// candidate), so a sweep over 10^6 nodes records O(selected) nodes,
+/// never one per node.
+struct NodeSelection {
+  int node = -1;
+  int candidates = 0;  ///< Levels whose ε-band contains the reading.
+  int admitted = 0;    ///< This node's run of NodeSelections::levels.
+};
+
+/// select_nodes' outcome: records in ascending node order, their admitted
+/// level indices (into the level list, ascending per node) concatenated in
+/// record order, and the records' summed candidate count.
+struct NodeSelections {
+  std::vector<NodeSelection> nodes;
+  std::vector<int> levels;
+  long long candidates = 0;
+};
+
+/// The Definition 3.1 node phase both engines run: evaluate_node_selection
+/// at every alive node of an ascending node range — `*nodes` when non-null
+/// (the continuous engine's dirty list), else every node of `graph` —
+/// across the exec pool in fixed tile blocks, merged in block order, so
+/// the outcome is that of the serial sweep at any thread count. `ops`,
+/// when non-empty, is indexed by node and receives each evaluated node's
+/// modelled ops; no other slot is written. Emits no obs events.
+NodeSelections select_nodes(const CommGraph& graph,
+                            const std::vector<double>& readings,
+                            const std::vector<int>* nodes,
+                            const std::vector<double>& levels, double epsilon,
+                            std::span<double> ops);
 
 /// Relation signature of a reading against the ascending level list:
 /// (#levels < v, #levels <= v). Two readings with equal signatures

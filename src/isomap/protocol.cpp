@@ -77,67 +77,41 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
 
   obs::PhaseTimer fit_timer(obs::kPhaseGradientFit);
   double measurement_bytes = 0.0;
-  // Tile-parallel gradient fits. Workers fill one slot per distinct node
-  // — the k-hop scope (thread-safe: epoch-stamped thread_local scratch in
-  // CommGraph), the sample count and the pure SoA fit — touching nothing
-  // shared. Everything order-sensitive (Ledger charges with their cost
-  // trace events, the regression metrics, the output tables) happens in
-  // the serial merge below, walking slots in distinct-node order, which
-  // is exactly the sequence the serial loop emitted: charges first, then
-  // fit metrics, then the unconditional compute charge. The slots then
-  // hold each node's descent direction for report generation.
-  struct FitSlot {
-    std::vector<std::pair<int, int>> scope;  ///< (neighbour, hop distance).
-    Vec2 descent{};
-    std::size_t samples = 0;
-    bool has_fit = false;
-  };
-  std::vector<FitSlot> slots(distinct_nodes.size());
-  // Fits are few (O(sqrt(n) * levels)) and each costs O(scope), so small
-  // blocks keep all workers fed.
-  const TileBlocks fit_blocks{distinct_nodes.size(), 64};
+  // Tile-parallel gradient fits: workers find each distinct node's k-hop
+  // scope (thread-safe: epoch-stamped thread_local scratch in CommGraph)
+  // and prime and fit its record, touching nothing shared. Everything
+  // order-sensitive (Ledger charges with their cost trace events, the
+  // regression metrics, the output tables) happens in the serial merge
+  // below, in distinct-node order: charges first, then fit metrics, then
+  // the compute charge. Fits are few (O(sqrt(n) * levels)) and each
+  // costs O(scope), so small blocks keep all workers fed.
+  std::vector<std::vector<std::pair<int, int>>> scopes(distinct_nodes.size());
+  std::vector<PlaneFitRecord> fits(distinct_nodes.size());
   exec::parallel_for_blocks(
-      fit_blocks, [&](std::size_t, std::size_t begin, std::size_t end) {
-        // SoA sample scratch reused across this block's isoline nodes:
-        // the regression reads unit-stride coordinate/value arrays, and
-        // the arrays keep their capacity across fits.
-        std::vector<double> sample_xs, sample_ys, sample_vs;
+      TileBlocks{distinct_nodes.size(), 64},
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        // A single-shot record is fitted once, so the block lends one
+        // sample buffer to each record in turn and takes it back: one
+        // allocation per block, not per node.
+        std::vector<double> samples;
+        std::vector<int> scope_nodes;
         for (std::size_t i = begin; i < end; ++i) {
           const int node = distinct_nodes[i];
-          FitSlot& slot = slots[i];
-          slot.scope =
+          scopes[i] =
               graph.k_hop_neighbours_with_distance(node, query.regression_hops);
-
-          // Regression runs on the positions the nodes *believe* (their
-          // localization output); the sensed values come from the physical
-          // positions.
-          sample_xs.clear();
-          sample_ys.clear();
-          sample_vs.clear();
-          sample_xs.reserve(slot.scope.size() + 1);
-          sample_ys.reserve(slot.scope.size() + 1);
-          sample_vs.reserve(slot.scope.size() + 1);
-          const auto push_sample = [&](int v) {
-            const Vec2 p = deployment.node(v).reported_pos();
-            sample_xs.push_back(p.x);
-            sample_ys.push_back(p.y);
-            sample_vs.push_back(readings[static_cast<std::size_t>(v)]);
-          };
-          push_sample(node);
-          for (const auto& [nb, dist] : slot.scope) push_sample(nb);
-
-          slot.samples = sample_xs.size();
-          if (const auto fit = fit_plane_soa(sample_xs, sample_ys, sample_vs)) {
-            slot.has_fit = true;
-            slot.descent = fit->descent_direction();
-          }
+          scope_nodes.clear();
+          for (const auto& [nb, dist] : scopes[i]) scope_nodes.push_back(nb);
+          PlaneFitRecord& fit = fits[i];
+          fit.samples.swap(samples);
+          fit.prime(deployment, node, scope_nodes);
+          fit.refit(readings, node, scope_nodes);
+          fit.samples.swap(samples);
         }
       });
 
+  FitMetrics fit_metrics;
   for (std::size_t i = 0; i < distinct_nodes.size(); ++i) {
     const int node = distinct_nodes[i];
-    const FitSlot& slot = slots[i];
-
     // Traffic: one probe broadcast heard by the 1-hop neighbours (k-hop
     // scopes rebroadcast it hop by hop), then one <value, position> reply
     // per scoped neighbour, relayed over its hop distance back to the
@@ -146,16 +120,14 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
       ledger.broadcast(node, graph.neighbours(node),
                        IsoMapOptions::kProbeBytes);
       measurement_bytes += IsoMapOptions::kProbeBytes;
-      for (const auto& [nb, dist] : slot.scope) {
+      for (const auto& [nb, dist] : scopes[i]) {
         const double reply = IsoMapOptions::kSampleTupleBytes * dist;
         ledger.transmit(nb, node, reply);
         measurement_bytes += reply;
       }
     }
-
-    record_fit_metrics(slot.samples);
-    if (!slot.has_fit) record_degenerate_fit();
-    ledger.compute(node, slot.has_fit ? fit_plane_ops(slot.samples) : 0.0);
+    fit_metrics.record(fits[i].size(), fits[i].has_fit);
+    ledger.compute(node, fits[i].ops);
   }
   fit_timer.stop();
 
@@ -169,7 +141,7 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
   std::size_t fit_index = 0;
   for (const auto& entry : selected) {
     if (distinct_nodes[fit_index] != entry.node) ++fit_index;
-    const FitSlot& fit = slots[fit_index];
+    const PlaneFitRecord& fit = fits[fit_index];
     if (!fit.has_fit || !tree.reachable(entry.node)) continue;
     const int id = static_cast<int>(reports.size());
     IsolineReport& r = reports.emplace_back(IsolineReport{

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "net/deployment.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
@@ -82,15 +83,6 @@ std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
   return solve_plane(pos, plane_value_stats(xs, ys, vs, pos));
 }
 
-void record_fit_metrics(std::size_t n_samples) {
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->add("regression.fits");
-    m->observe("regression.samples", static_cast<double>(n_samples));
-  }
-}
-
-void record_degenerate_fit() { obs::count("regression.degenerate"); }
-
 std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
                                     const PlaneValueStats& val) {
   if (pos.n < 3) return std::nullopt;
@@ -108,6 +100,62 @@ std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
   // Un-centre the intercept: v = mean_v + w0 + c1 (x - mx) + c2 (y - my).
   fit.c0 = val.mean_v + w[0] - fit.c1 * pos.mean.x - fit.c2 * pos.mean.y;
   return fit;
+}
+
+void PlaneFitRecord::prime(const Deployment& deployment, int node,
+                           std::span<const int> scope) {
+  const std::size_t n = scope.size() + 1;
+  samples.assign(3 * n, 0.0);
+  const std::span<double> xs(samples.data(), n), ys(samples.data() + n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const int v = k == 0 ? node : scope[k - 1];
+    const Vec2 p = deployment.node(v).reported_pos();
+    xs[k] = p.x;
+    ys[k] = p.y;
+  }
+  pos_stats = plane_position_stats(xs, ys);
+  primed = true;
+  valid = false;
+}
+
+void PlaneFitRecord::refit(std::span<const double> readings, int node,
+                           std::span<const int> scope) {
+  // The cached position block is the bit-exact result of
+  // plane_position_stats over these positions, so the fit equals
+  // fit_plane_soa over the refreshed samples bit for bit.
+  const std::size_t n = size();
+  const std::span<double> vs(samples.data() + 2 * n, n);
+  vs[0] = readings[static_cast<std::size_t>(node)];
+  for (std::size_t k = 1; k < n; ++k)
+    vs[k] = readings[static_cast<std::size_t>(scope[k - 1])];
+  ops = 0.0;
+  has_fit = false;
+  if (n >= 3) {
+    const std::span<const double> xs(samples.data(), n);
+    const std::span<const double> ys(samples.data() + n, n);
+    if (const auto fit =
+            solve_plane(pos_stats, plane_value_stats(xs, ys, vs, pos_stats))) {
+      has_fit = true;
+      descent = fit->descent_direction();
+      ops = fit_plane_ops(n);
+    }
+  }
+  valid = true;
+}
+
+void FitMetrics::record(std::size_t n_samples, bool has_fit) {
+  obs::MetricsRegistry* const m = obs::metrics();
+  if (m == nullptr) return;
+  if (fits_ == nullptr) {
+    fits_ = &m->counter_slot("regression.fits");
+    samples_ = &m->histogram_slot("regression.samples");
+  }
+  *fits_ += 1.0;
+  samples_->record(static_cast<double>(n_samples));
+  if (has_fit) return;
+  if (degenerate_ == nullptr)
+    degenerate_ = &m->counter_slot("regression.degenerate");
+  *degenerate_ += 1.0;
 }
 
 }  // namespace isomap

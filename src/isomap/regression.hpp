@@ -2,10 +2,15 @@
 
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "geometry/vec2.hpp"
 
 namespace isomap {
+namespace obs {
+class Histogram;
+}
+class Deployment;
 
 /// Result of the local linear fit v = c0 + c1*x + c2*y.
 struct PlaneFit {
@@ -70,17 +75,10 @@ PlaneValueStats plane_value_stats(std::span<const double> xs,
 /// bit. Returns nullopt when the samples are degenerate (fewer than 3, or
 /// collinear positions), in which case no gradient estimate exists. No
 /// observability emission and no ops accounting, so it is safe to call
-/// from exec pool workers: callers charge fit_plane_ops and emit
-/// record_fit_metrics / record_degenerate_fit in their ordered merge.
+/// from exec pool workers.
 std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
                                       std::span<const double> ys,
                                       std::span<const double> vs);
-
-/// The metric emissions of one plane fit, emitted by a serial merge for
-/// fits computed on pool workers: record_fit_metrics first (fit count +
-/// scope-size observation), then record_degenerate_fit iff the fit failed.
-void record_fit_metrics(std::size_t n_samples);
-void record_degenerate_fit();
 
 /// Solve the 3x3 normal equations assembled from the two blocks. Returns
 /// nullopt on degeneracy (fewer than 3 samples, or collinear positions).
@@ -97,6 +95,59 @@ std::optional<PlaneFit> solve_plane(const PlanePositionStats& pos,
 inline double fit_plane_ops(std::size_t n_samples) {
   return 12.0 * static_cast<double>(n_samples) + 40.0;
 }
+
+/// One node's plane fit (Eq. 2–3) as both engines keep it, over a fixed
+/// sample set: the node itself, then its `scope` in order, at their
+/// reported (localized) positions with their sensed readings. prime()
+/// lays out the positions and their position block once; refit()
+/// rewrites the readings and redoes only the value block and the solve.
+/// Together they are fit_plane_soa over the same samples, bit for bit.
+/// Neither emits metrics nor charges a ledger, so both may run on pool
+/// workers; the ordered merge replays each fit through FitMetrics and
+/// charges `ops` to the node.
+struct PlaneFitRecord {
+  bool primed = false;   ///< Positions and pos_stats are laid out.
+  bool valid = false;    ///< The fit below reflects the current readings.
+  bool has_fit = false;  ///< False on a degenerate sample set.
+  Vec2 descent{};        ///< PlaneFit::descent_direction (Eq. 3).
+  double ops = 0.0;      ///< fit_plane_ops, or 0 on a degenerate fit.
+  PlanePositionStats pos_stats;
+  /// The samples as three parallel arrays back to back, [xs | ys | vs],
+  /// in one buffer: xs and ys are written once at prime, only vs again.
+  /// refit() reads it; a record that is not refit again may hand the
+  /// buffer on (size() does not read it).
+  std::vector<double> samples;
+
+  /// Sample count, fixed by prime().
+  std::size_t size() const { return pos_stats.n; }
+
+  /// Lay out the sample positions and their position block. Allocates
+  /// the sample buffer; leaves the fit invalid.
+  void prime(const Deployment& deployment, int node,
+             std::span<const int> scope);
+
+  /// Fit the primed samples to `readings` (indexed by node). `node` and
+  /// `scope` must be the ones prime() was given. Allocates nothing.
+  void refit(std::span<const double> readings, int node,
+             std::span<const int> scope);
+};
+
+/// The metric emissions of plane fits computed on pool workers, replayed
+/// in an ordered merge: per fit "regression.fits" and one
+/// "regression.samples" observation, plus "regression.degenerate" when the
+/// fit failed. Registry slots are resolved on first use — one map lookup
+/// per merge instead of per fit — so each counter appears exactly when a
+/// per-fit emission would have created it. Use one per merge: the
+/// registry can change between runs and rounds.
+class FitMetrics {
+ public:
+  void record(std::size_t n_samples, bool has_fit);
+
+ private:
+  double* fits_ = nullptr;
+  obs::Histogram* samples_ = nullptr;
+  double* degenerate_ = nullptr;
+};
 
 /// Solve a 3x3 linear system in-place by Gaussian elimination with partial
 /// pivoting. Returns false if singular. Exposed for testing.

@@ -8,12 +8,15 @@
 // continuous.* counters are the only outputs allowed to differ.
 //
 // Both engines run the mapper's one round path (kOracle just drops the
-// caches first), so every round is also checked against references that
-// share none of it: select_isoline_nodes, ContourMapBuilder and the
-// array-of-structs plane fit in tests/oracles.
+// caches first), so every round is also checked against references in
+// tests/oracles that share none of it: the full-scan Definition 3.1
+// evaluation, the serial uncached map build and the array-of-structs
+// plane fit. A cold round is also checked against IsoMapProtocol::run,
+// which runs the same selection, fit and sink stages.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -28,8 +31,11 @@
 #include "field/blended_field.hpp"
 #include "isomap/continuous.hpp"
 #include "isomap/node_selection.hpp"
+#include "isomap/protocol.hpp"
 #include "obs/obs.hpp"
+#include "oracles/map_serial.hpp"
 #include "oracles/regression_aos.hpp"
+#include "oracles/selection_full_scan.hpp"
 #include "sim/runners.hpp"
 
 namespace isomap {
@@ -353,18 +359,24 @@ int expect_matches_references(const RoundContext& ctx,
   ctx.deployment.sense(ctx.field, readings);
   const ContourQuery& query = ctx.options.base.query;
 
-  // The map is ContourMapBuilder's over the post-filter report list.
-  const ContourMap reference =
-      ContourMapBuilder(ctx.deployment.bounds(), ctx.options.base.regulation)
-          .build(ctx.mapper.post_filter_reports(), query.isolevels());
+  // The map is the serial uncached build over the post-filter reports.
+  const ContourMap reference = oracle::serial_map(
+      ctx.deployment.bounds(), ctx.options.base.regulation,
+      ctx.mapper.post_filter_reports(), query.isolevels());
   expect_maps_equal(*capture.map, reference, where + " map");
 
-  // The selection notes are select_isoline_nodes' on the same readings.
+  // The selection notes are those of a serial full-scan sweep over the
+  // alive nodes on the same readings.
   std::ostringstream text;
   obs::TraceSink sink(text);
-  {
-    const obs::ObsScope scope(nullptr, &sink);
-    (void)select_isoline_nodes(ctx.graph, readings, query);
+  const std::vector<double> levels = query.isolevels();
+  std::vector<int> admitted;
+  for (int v = 0; v < ctx.graph.size(); ++v) {
+    if (!ctx.graph.alive(v)) continue;
+    (void)oracle::selection_full_scan(ctx.graph, readings, v, levels,
+                                      query.epsilon(), admitted);
+    for (const int idx : admitted)
+      trace_selection(&sink, v, levels[static_cast<std::size_t>(idx)]);
   }
   sink.flush();
   EXPECT_FALSE(text.str().empty()) << where << " select";
@@ -428,6 +440,73 @@ TEST(ContinuousIncremental, EveryRoundMatchesIndependentReferences) {
           });
         });
         EXPECT_GT(fitted, 0) << label;
+      }
+    }
+  }
+}
+
+TEST(ContinuousIncremental, ColdRoundMatchesSingleShot) {
+  // With 1-hop fits and no filter, a cold continuous round reports every
+  // (source, level) that single-shot delivers, with the same bits: both
+  // engines select through select_nodes, fit through PlaneFitRecord and
+  // differ only in routing and byte policy.
+  for (const int threads : {1, 4}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      const std::string where = "seed " + std::to_string(seed) + " @" +
+                                std::to_string(threads);
+      ScenarioConfig config;
+      config.num_nodes = 900;
+      config.field_side = 30.0;
+      config.failure_fraction = 0.10;
+      config.seed = seed;
+      const Scenario s = make_scenario(config);
+      IsoMapOptions base;
+      base.query = default_query(s.field, 4);
+      base.query.regression_hops = 1;
+      base.query.enable_filtering = false;
+      const std::vector<double> levels = base.query.isolevels();
+
+      exec::set_thread_count(threads);
+      Ledger shot_ledger(s.deployment.size());
+      const IsoMapResult shot = IsoMapProtocol(base).run(
+          s.readings, s.deployment, s.graph, s.tree, shot_ledger);
+      ContinuousOptions opts;
+      opts.base = base;
+      ContinuousMapper mapper(opts, s.deployment, s.graph, s.tree);
+      Ledger round_ledger(s.deployment.size());
+      (void)mapper.round(s.readings, round_ledger);
+      exec::set_thread_count(0);
+
+      // Single-shot reports keyed like sink_dump: ascending (node, level).
+      std::vector<ContinuousMapper::SinkDumpEntry> expected;
+      for (const IsolineReport& r : shot.sink_reports) {
+        const auto level = std::find_if(levels.begin(), levels.end(),
+                                        [&](double l) {
+                                          return bits(l) == bits(r.isolevel);
+                                        });
+        ASSERT_NE(level, levels.end()) << where;
+        expected.push_back(
+            {r.source, static_cast<int>(level - levels.begin()), r, 1});
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const auto& a, const auto& b) {
+                  return std::pair(a.node, a.level) <
+                         std::pair(b.node, b.level);
+                });
+      const auto actual = mapper.sink_dump();
+      EXPECT_GT(expected.size(), 50u) << where;
+      ASSERT_EQ(actual.size(), expected.size()) << where;
+      for (std::size_t i = 0; i < actual.size(); ++i) {
+        const auto& a = actual[i].report;
+        const auto& e = expected[i].report;
+        const std::string at = where + " entry " + std::to_string(i);
+        EXPECT_EQ(actual[i].node, expected[i].node) << at;
+        EXPECT_EQ(actual[i].level, expected[i].level) << at;
+        EXPECT_EQ(a.source, e.source) << at;
+        EXPECT_EQ(bits(a.position.x), bits(e.position.x)) << at;
+        EXPECT_EQ(bits(a.position.y), bits(e.position.y)) << at;
+        EXPECT_EQ(bits(a.gradient.x), bits(e.gradient.x)) << at;
+        EXPECT_EQ(bits(a.gradient.y), bits(e.gradient.y)) << at;
       }
     }
   }

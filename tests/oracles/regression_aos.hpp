@@ -61,23 +61,17 @@ inline PlaneValueStats plane_value_stats(
 
 /// Least-squares plane fit through the samples (Eq. 2): position stats,
 /// value stats, then solve_plane. Emits the metrics and adds the ops a
-/// production fit is charged: record_fit_metrics, record_degenerate_fit
-/// on failure, fit_plane_ops on success.
+/// production fit is charged: FitMetrics::record, and fit_plane_ops on
+/// success.
 inline std::optional<PlaneFit> fit_plane(
     const std::vector<FieldSample>& samples, double* ops = nullptr) {
-  record_fit_metrics(samples.size());
-  if (samples.size() < 3) {
-    record_degenerate_fit();
-    return std::nullopt;
+  std::optional<PlaneFit> fit;
+  if (samples.size() >= 3) {
+    const PlanePositionStats pos = plane_position_stats(samples);
+    fit = solve_plane(pos, plane_value_stats(samples, pos));
   }
-  const PlanePositionStats pos = plane_position_stats(samples);
-  const PlaneValueStats val = plane_value_stats(samples, pos);
-  const auto fit = solve_plane(pos, val);
-  if (!fit) {
-    record_degenerate_fit();
-    return std::nullopt;
-  }
-  if (ops) *ops += fit_plane_ops(samples.size());
+  FitMetrics().record(samples.size(), fit.has_value());
+  if (fit && ops) *ops += fit_plane_ops(samples.size());
   return fit;
 }
 
