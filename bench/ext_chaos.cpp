@@ -47,9 +47,9 @@ IsoMapRun chaos_run(const Scenario& s, double crash_fraction,
   options.fault.crash_fraction = crash_fraction;
   options.fault.seed = seed * 1013;
   options.fault.self_healing = self_healing;
-  options.link_burst = burst;
-  options.link_retries = retries;
-  options.link_seed = seed * 977;
+  options.link.burst = burst;
+  options.link.retries = retries;
+  options.link.seed = seed * 977;
   const IsoMapRun run = run_isomap(s, options);
   check_identity(run);
   return run;
@@ -269,17 +269,17 @@ int main(int argc, char** argv) {
         options.fault.crash_fraction = cfg.crash;
         options.fault.seed = seed * 1013;
         options.fault.self_healing = true;
-        if (cfg.burst) options.link_burst = kHeavyBurst;
-        options.link_retries = 3;
-        options.link_seed = seed * 977;
+        if (cfg.burst) options.link.burst = kHeavyBurst;
+        options.link.retries = 3;
+        options.link.seed = seed * 977;
         ImpairmentConfig impair;
         impair.latency_s = 0.002;
         impair.jitter_s = 0.004;
         impair.dup_prob = 0.2;
         impair.reorder_prob = 0.15;
         impair.corrupt_prob = 0.08;
-        options.link_impair = impair;
-        options.link_arq.max_frame_attempts = 5;
+        options.link.impair = impair;
+        options.link.arq.max_frame_attempts = 5;
         const IsoMapRun run = run_isomap(s, options);
         check_identity(run);
         const auto& counters = run.summary.counters;
@@ -334,9 +334,9 @@ int main(int argc, char** argv) {
     options.fault.crash_fraction = 0.10;
     options.fault.seed = seed * 1013;
     options.fault.self_healing = true;
-    options.link_burst = kHeavyBurst;
-    options.link_retries = 3;
-    options.link_seed = seed * 977;
+    options.link.burst = kHeavyBurst;
+    options.link.retries = 3;
+    options.link.seed = seed * 977;
     obs::NodeTelemetry telemetry(s.graph.size());
     const IsoMapRun run = run_isomap(s, options, nullptr, &telemetry);
     check_identity(run);

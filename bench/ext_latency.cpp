@@ -38,9 +38,9 @@ void impaired_trial(const ImpairmentConfig& impair, std::uint64_t seed,
   const Scenario scenario = sloped_scenario(side_for_diameter(15), seed);
   IsoMapOptions options;
   options.query = scaling_query();
-  options.link_impair = impair;
-  options.link_burst = GilbertElliottParams{};
-  options.link_arq.max_frame_attempts = 6;
+  options.link.impair = impair;
+  options.link.burst = GilbertElliottParams{};
+  options.link.arq.max_frame_attempts = 6;
   const IsoMapRun run = run_isomap(scenario, options);
   out.first.add(run.result.e2e_first_latency_s);
   out.last.add(run.result.e2e_last_latency_s);

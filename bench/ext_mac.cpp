@@ -116,12 +116,12 @@ int main() {
         impair.dup_prob = 0.1;
         impair.reorder_prob = 0.1;
         impair.corrupt_prob = 0.05;
-        options.link_impair = impair;
-        options.link_arq.max_frame_attempts = 5;
+        options.link.impair = impair;
+        options.link.arq.max_frame_attempts = 5;
       }
       if (link.burst) {
-        options.link_burst = GilbertElliottParams{};
-        options.link_seed = seed * 977;
+        options.link.burst = GilbertElliottParams{};
+        options.link.seed = seed * 977;
       }
       const IsoMapRun run = run_isomap(scenario, options);
       Rng mac_rng(seed * 31);

@@ -28,9 +28,9 @@ int main() {
         const Scenario s = harbor_scenario(2500, seed);
         IsoMapOptions options;
         options.query = default_query(s.field, 4);
-        options.link_loss = losses[pi];
-        options.link_retries = 3;
-        options.link_seed = seed * 977;
+        options.link.loss = losses[pi];
+        options.link.retries = 3;
+        options.link.seed = seed * 977;
         const IsoMapRun run = run_isomap(s, options);
         return LossTrial{static_cast<double>(run.result.delivered_reports),
                          mapping_accuracy(run.result.map, s.field,

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   options.fault.crash_fraction = args.get_double("crash", 0.0);
   options.fault.self_healing = !args.has("no-heal");
   if (args.has("burst")) {
-    options.link_burst = GilbertElliottParams{};  // Mild default bursts.
-    options.link_seed = config.seed * 977;
+    options.link.burst = GilbertElliottParams{};  // Mild default bursts.
+    options.link.seed = config.seed * 977;
   }
   if (args.has("jitter") || args.has("dup") || args.has("reorder") ||
       args.has("arq-window")) {
@@ -81,10 +81,9 @@ int main(int argc, char** argv) {
     impair.jitter_s = args.get_double("jitter", 0.0);
     impair.dup_prob = args.get_double("dup", 0.0);
     impair.reorder_prob = args.get_double("reorder", 0.0);
-    options.link_impair = impair;
-    options.link_arq.window = args.get_int("arq-window", 4);
-    options.link_impair->validate();
-    options.link_arq.validate();
+    options.link.impair = impair;
+    options.link.arq.window = args.get_int("arq-window", 4);
+    options.link.validate();
   }
   const IsoMapRun run = run_isomap(scenario, options, trace.get());
   const ContourQuery query = default_query(scenario.field, levels);
@@ -120,7 +119,7 @@ int main(int argc, char** argv) {
               << " (" << run.result.repair_traffic_bytes / 1024.0
               << " KB of beacons)\n";
   }
-  if (options.link_impair) {
+  if (options.link.impair) {
     std::cout << "E2E map latency:        first "
               << run.result.e2e_first_latency_s * 1000.0 << " ms, mean "
               << run.result.e2e_mean_latency_s * 1000.0 << " ms, last "

@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
     options.query.distance_separation = args.get_double("sd", 4.0);
     options.query.epsilon_fraction = args.get_double("epsilon", 0.05);
     options.regulation = parse_regulation(args.get_or("regulation", "rules"));
-    options.link_loss = args.get_double("loss", 0.0);
-    options.link_retries = args.get_int("retries", 3);
+    options.link.loss = args.get_double("loss", 0.0);
+    options.link.retries = args.get_int("retries", 3);
     const IsoMapRun run = run_isomap(s, options);
     metrics.row().cell("isoline nodes").cell(run.result.isoline_node_count);
     metrics.row().cell("reports generated").cell(run.result.generated_reports);
@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
     }
   } else if (protocol == "tinydb") {
     TinyDBOptions options;
-    options.link_loss = args.get_double("loss", 0.0);
-    options.link_retries = args.get_int("retries", 3);
+    options.link.loss = args.get_double("loss", 0.0);
+    options.link.retries = args.get_int("retries", 3);
     const TinyDBRun run = run_tinydb(s, options);
     metrics.row().cell("reports delivered").cell(run.result.reports_delivered);
     metrics.row().cell("traffic KB").cell(run.result.traffic_bytes / 1024.0,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "baselines/aggregate_convergecast.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
@@ -19,7 +21,10 @@ double coverage_distance(const Tuple& a, const Tuple& b) {
 
 }  // namespace
 
-EScanProtocol::EScanProtocol(EScanOptions options) : options_(options) {}
+EScanProtocol::EScanProtocol(EScanOptions options)
+    : options_(std::move(options)) {
+  options_.link.validate();
+}
 
 EScanResult EScanProtocol::run(const Deployment& deployment,
                                const std::vector<double>& readings,
@@ -74,50 +79,14 @@ EScanResult EScanProtocol::run(const Deployment& deployment,
     ledger.compute(at_node, ops);
   };
 
-  Channel channel =
-      Channel::make(options_.link_loss, options_.link_retries,
-                    options_.link_seed, options_.link_burst,
-                    options_.link_impair, options_.link_arq);
-  const bool impaired = channel.impaired();
-  std::vector<double> arrival(static_cast<std::size_t>(n), 0.0);
-  for (int u : tree.post_order()) {
-    auto& outgoing = buffer[static_cast<std::size_t>(u)];
-    if (outgoing.empty()) continue;
-    {
-      const obs::PhaseTimer timer(obs::kPhaseAggregate);
-      merge_tuples(outgoing, u);
-    }
-    if (u == tree.sink()) continue;
-    const int p = tree.parent(u);
-    const double bytes =
-        static_cast<double>(outgoing.size()) * options_.tuple_bytes;
-    Channel::Transfer transfer;
-    {
-      const obs::PhaseTimer timer(obs::kPhaseReportRoute);
-      transfer = channel.transfer(u, p, bytes, ledger);
-    }
-    result.traffic_bytes += bytes;
-    if (!transfer.delivered) {
-      ++result.batches_lost;
-      result.tuples_lost += static_cast<int>(outgoing.size());
-      outgoing.clear();
-      continue;
-    }
-    if (impaired) {
-      const auto pu = static_cast<std::size_t>(p);
-      arrival[pu] = std::max(
-          arrival[pu],
-          arrival[static_cast<std::size_t>(u)] + transfer.latency_s);
-    }
-    auto& inbox = buffer[static_cast<std::size_t>(p)];
-    inbox.insert(inbox.end(), outgoing.begin(), outgoing.end());
-    outgoing.clear();
-  }
-  if (impaired)
-    result.collection_latency_s =
-        arrival[static_cast<std::size_t>(tree.sink())];
-  result.sink_tuples =
-      std::move(buffer[static_cast<std::size_t>(tree.sink())]);
+  AggregateCollection<Tuple> collected = aggregate_convergecast(
+      std::move(buffer), tree, options_.link, options_.tuple_bytes, ledger,
+      merge_tuples);
+  result.traffic_bytes = collected.traffic_bytes;
+  result.batches_lost = collected.batches_lost;
+  result.tuples_lost = collected.items_lost;
+  result.collection_latency_s = collected.collection_latency_s;
+  result.sink_tuples = std::move(collected.at_sink);
   result.tuples_at_sink = static_cast<int>(result.sink_tuples.size());
   obs::count("reports.generated", result.reports_generated);
   obs::count("aggregate.tuples_at_sink", result.tuples_at_sink);

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -24,16 +22,9 @@ struct EScanOptions {
   double value_tolerance = 1.0;    ///< Max value-interval width after merge.
   double adjacency_distance = 2.0; ///< Coverage adjacency threshold.
 
-  /// Link layer for the tuple convergecast (see net/channel.hpp); the
-  /// defaults reproduce the historical perfect-link behavior bit for bit.
-  /// A lost hop loses the whole outgoing tuple batch.
-  double link_loss = 0.0;
-  int link_retries = 3;
-  std::uint64_t link_seed = 0xC0FFEEULL;
-  std::optional<GilbertElliottParams> link_burst;
-  /// Impairment pipeline + sliding-window ARQ (net/impairment.hpp).
-  std::optional<ImpairmentConfig> link_impair;
-  ArqConfig link_arq;
+  /// Link layer for the tuple convergecast (net/channel.hpp). A lost
+  /// hop loses the whole outgoing tuple batch.
+  LinkOptions link;
 };
 
 /// A (VALUE, COVERAGE) tuple as received by the sink.
@@ -59,7 +50,7 @@ struct EScanResult {
   int batches_lost = 0;
   int tuples_lost = 0;
   /// Measured collection latency over the impaired pipeline (see
-  /// InlrResult::collection_latency_s). 0.0 when link_impair is unset.
+  /// InlrResult::collection_latency_s). 0.0 when link.impair is unset.
   double collection_latency_s = 0.0;
 
   /// Sink map: the estimate at p is the midpoint value of the smallest
@@ -72,6 +63,8 @@ struct EScanResult {
 
 class EScanProtocol {
  public:
+  /// Throws std::invalid_argument when `options.link` breaks a
+  /// LinkOptions rule.
   explicit EScanProtocol(EScanOptions options = {});
 
   EScanResult run(const Deployment& deployment,

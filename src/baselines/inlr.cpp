@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "baselines/aggregate_convergecast.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
@@ -29,7 +31,10 @@ double bbox_distance(const Region& a, const Region& b) {
 
 }  // namespace
 
-InlrProtocol::InlrProtocol(InlrOptions options) : options_(options) {}
+InlrProtocol::InlrProtocol(InlrOptions options)
+    : options_(std::move(options)) {
+  options_.link.validate();
+}
 
 InlrResult InlrProtocol::run(const Deployment& deployment,
                              const std::vector<double>& readings,
@@ -114,56 +119,14 @@ InlrResult InlrProtocol::run(const Deployment& deployment,
     ledger.compute(at_node, ops);
   };
 
-  Channel channel =
-      Channel::make(options_.link_loss, options_.link_retries,
-                    options_.link_seed, options_.link_burst,
-                    options_.link_impair, options_.link_arq);
-  const bool impaired = channel.impaired();
-  // Per-node batch arrival time over the impaired pipeline: a node's
-  // batch leaves once all children delivered, so its arrival at the
-  // parent is max over contributing children plus this hop's ARQ time.
-  std::vector<double> arrival(static_cast<std::size_t>(n), 0.0);
-  for (int u : tree.post_order()) {
-    auto& outgoing = buffer[static_cast<std::size_t>(u)];
-    if (outgoing.empty()) continue;
-    {
-      // The numerical-integration merge is INLR's computational burden —
-      // phase-separated from routing so Fig. 15's cost is visible per hop.
-      const obs::PhaseTimer timer(obs::kPhaseAggregate);
-      merge_regions(outgoing, u);
-    }
-    if (u == tree.sink()) continue;
-    const int p = tree.parent(u);
-    const double bytes =
-        static_cast<double>(outgoing.size()) * options_.region_bytes;
-    Channel::Transfer transfer;
-    {
-      const obs::PhaseTimer timer(obs::kPhaseReportRoute);
-      transfer = channel.transfer(u, p, bytes, ledger);
-    }
-    result.traffic_bytes += bytes;
-    if (!transfer.delivered) {
-      ++result.batches_lost;
-      result.regions_lost += static_cast<int>(outgoing.size());
-      outgoing.clear();
-      continue;
-    }
-    if (impaired) {
-      const auto pu = static_cast<std::size_t>(p);
-      arrival[pu] = std::max(
-          arrival[pu],
-          arrival[static_cast<std::size_t>(u)] + transfer.latency_s);
-    }
-    auto& inbox = buffer[static_cast<std::size_t>(p)];
-    inbox.insert(inbox.end(), outgoing.begin(), outgoing.end());
-    outgoing.clear();
-  }
-  if (impaired)
-    result.collection_latency_s =
-        arrival[static_cast<std::size_t>(tree.sink())];
-
-  result.sink_regions =
-      std::move(buffer[static_cast<std::size_t>(tree.sink())]);
+  AggregateCollection<Region> collected = aggregate_convergecast(
+      std::move(buffer), tree, options_.link, options_.region_bytes, ledger,
+      merge_regions);
+  result.traffic_bytes = collected.traffic_bytes;
+  result.batches_lost = collected.batches_lost;
+  result.regions_lost = collected.items_lost;
+  result.collection_latency_s = collected.collection_latency_s;
+  result.sink_regions = std::move(collected.at_sink);
   result.regions_at_sink = static_cast<int>(result.sink_regions.size());
   obs::count("reports.generated", result.reports_generated);
   obs::count("aggregate.regions_at_sink", result.regions_at_sink);

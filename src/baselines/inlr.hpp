@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -41,16 +39,9 @@ struct InlrOptions {
   /// per-node computation (Fig. 15).
   double integration_step = 1.0;
 
-  /// Link layer for the region convergecast (see net/channel.hpp); the
-  /// defaults reproduce the historical perfect-link behavior bit for bit.
-  /// A lost hop loses the whole outgoing region batch.
-  double link_loss = 0.0;
-  int link_retries = 3;
-  std::uint64_t link_seed = 0xC0FFEEULL;
-  std::optional<GilbertElliottParams> link_burst;
-  /// Impairment pipeline + sliding-window ARQ (net/impairment.hpp).
-  std::optional<ImpairmentConfig> link_impair;
-  ArqConfig link_arq;
+  /// Link layer for the region convergecast (net/channel.hpp). A lost
+  /// hop loses the whole outgoing region batch.
+  LinkOptions link;
 };
 
 /// A contour-region summary as received by the sink: the linear data
@@ -83,7 +74,7 @@ struct InlrResult {
   /// Measured collection latency over the impaired pipeline: the virtual
   /// time when the last region batch reached the sink (per-node arrival
   /// time = max over children of child arrival + hop ARQ completion).
-  /// 0.0 when link_impair is unset.
+  /// 0.0 when link.impair is unset.
   double collection_latency_s = 0.0;
 
   /// Sink map reconstruction: the field estimate at q is the model of the
@@ -96,6 +87,8 @@ struct InlrResult {
 
 class InlrProtocol {
  public:
+  /// Throws std::invalid_argument when `options.link` breaks a
+  /// LinkOptions rule.
   explicit InlrProtocol(InlrOptions options = {});
 
   InlrResult run(const Deployment& deployment,

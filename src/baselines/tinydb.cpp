@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "eval/level_map.hpp"
 #include "net/channel.hpp"
@@ -11,7 +12,10 @@
 
 namespace isomap {
 
-TinyDBProtocol::TinyDBProtocol(TinyDBOptions options) : options_(options) {}
+TinyDBProtocol::TinyDBProtocol(TinyDBOptions options)
+    : options_(std::move(options)) {
+  options_.link.validate();
+}
 
 TinyDBResult TinyDBProtocol::run(const Deployment& deployment,
                                  const std::vector<double>& readings,
@@ -27,10 +31,7 @@ TinyDBResult TinyDBProtocol::run(const Deployment& deployment,
 
   // Every alive, reachable node reports; the report is forwarded hop by
   // hop along the tree with no aggregation.
-  Channel channel =
-      Channel::make(options_.link_loss, options_.link_retries,
-                    options_.link_seed, options_.link_burst,
-                    options_.link_impair, options_.link_arq);
+  Channel channel(options_.link);
   const bool impaired = channel.impaired();
   obs::PhaseTimer route_timer(obs::kPhaseReportRoute);
   std::vector<std::optional<double>> received(

@@ -24,17 +24,9 @@ struct TinyDBOptions {
   double report_bytes = 6.0;
   /// Store-and-forward bookkeeping ops charged per forwarded report.
   double ops_per_forward = 4.0;
-  /// Link layer (see net/channel.hpp); 0 = the paper's perfect links.
-  double link_loss = 0.0;
-  int link_retries = 3;
-  std::uint64_t link_seed = 0xC0FFEEULL;
-  /// Bursty Gilbert–Elliott channel; replaces link_loss when set, so
-  /// chaos comparisons against Iso-Map run over the identical link model.
-  std::optional<GilbertElliottParams> link_burst;
-  /// Impairment pipeline + sliding-window ARQ (see net/impairment.hpp);
-  /// when set, per-report path latency is measured hop by hop.
-  std::optional<ImpairmentConfig> link_impair;
-  ArqConfig link_arq;
+  /// Link layer (net/channel.hpp). With an impairment pipeline the
+  /// per-report path latency is measured hop by hop.
+  LinkOptions link;
   /// Record every forwarding transmission for MAC-layer replay studies.
   bool record_transmissions = false;
 };
@@ -56,7 +48,7 @@ struct TinyDBResult {
 
   /// Measured end-to-end report latency over the impaired pipeline (sum
   /// of per-hop ARQ completion times along each delivered report's path;
-  /// first/last/mean over delivered reports). 0.0 when link_impair is
+  /// first/last/mean over delivered reports). 0.0 when link.impair is
   /// unset.
   double e2e_first_latency_s = 0.0;
   double e2e_last_latency_s = 0.0;
@@ -78,6 +70,8 @@ struct TinyDBResult {
 
 class TinyDBProtocol {
  public:
+  /// Throws std::invalid_argument when `options.link` breaks a
+  /// LinkOptions rule.
   explicit TinyDBProtocol(TinyDBOptions options = {});
 
   /// `readings` indexed by node id (only alive nodes are read). The

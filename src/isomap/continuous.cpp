@@ -334,8 +334,8 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
 
   select_timer.stop();
 
-  RoundResult result{.map = ContourMap(deployment_->bounds(),
-                                       std::vector<LevelRegion>{})};
+  RoundResult result{
+      {}, ContourMap(deployment_->bounds(), std::vector<LevelRegion>{})};
   obs::PhaseTimer route_timer(obs::kPhaseReportRoute);
   const double refresh_rad = options_.gradient_refresh_deg * M_PI / 180.0;
   // now_memory_ still holds the round-before-last entries (the tables are

@@ -62,8 +62,9 @@ struct ContinuousOptions {
   ContinuousEngine engine = ContinuousEngine::kIncremental;
 };
 
-/// Per-round outcome of the continuous mapper.
-struct RoundResult {
+/// The counters of one continuous round, declared once: RoundResult
+/// carries them, and the run capsule's RoundOutputs stores them.
+struct RoundCounters {
   int adds = 0;        ///< Newly selected (node, level) pairs reported.
   int refreshes = 0;   ///< Re-reports due to gradient rotation.
   int withdrawals = 0; ///< Deselected pairs withdrawn.
@@ -73,7 +74,11 @@ struct RoundResult {
   int active_reports = 0;            ///< Sink table size after the round.
   double delta_traffic_bytes = 0.0;  ///< Multi-hop add/refresh/withdraw bytes.
   double beacon_traffic_bytes = 0.0; ///< 1-hop beacon bytes.
-  ContourMap map;                    ///< Sink map after the round.
+};
+
+/// Per-round outcome of the continuous mapper.
+struct RoundResult : RoundCounters {
+  ContourMap map;  ///< Sink map after the round.
 };
 
 /// Continuous contour mapping over an evolving field — the natural

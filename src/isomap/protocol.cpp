@@ -23,9 +23,7 @@ IsoMapProtocol::IsoMapProtocol(IsoMapOptions options)
   if (options_.query.regression_hops < 1)
     throw std::invalid_argument(
         "IsoMapProtocol: regression_hops must be >= 1");
-  (void)Channel::make(options_.link_loss, options_.link_retries,
-                      options_.link_seed, options_.link_burst,
-                      options_.link_impair, options_.link_arq);
+  options_.link.validate();
 }
 
 IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
@@ -163,10 +161,7 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
   const int generated = static_cast<int>(reports.size());
 
   const InNetworkFilter filter = InNetworkFilter::from_query(query);
-  Channel channel =
-      Channel::make(options_.link_loss, options_.link_retries,
-                    options_.link_seed, options_.link_burst,
-                    options_.link_impair, options_.link_arq);
+  Channel channel(options_.link);
   // With a fault plan the injector advances along convergecast progress
   // and kills nodes on schedule; without one the convergecast visits only
   // the nodes on report paths.
@@ -201,9 +196,10 @@ IsoMapResult IsoMapProtocol::run(const std::vector<double>& readings,
              static_cast<double>(routed.sink_reports.size()));
   ContourMap map = ContourMapBuilder(deployment.bounds(), options_.regulation)
                        .build(routed.sink_reports, query.isolevels());
-  IsoMapResult result{.sink_reports = std::move(routed.sink_reports),
-                      .map = std::move(map),
-                      .transmissions = std::move(routed.transmissions)};
+  IsoMapResult result{{},
+                      std::move(routed.sink_reports),
+                      std::move(map),
+                      std::move(routed.transmissions)};
   result.isoline_node_count = static_cast<int>(distinct_nodes.size());
   result.generated_reports = generated;
   result.delivered_reports = static_cast<int>(result.sink_reports.size());

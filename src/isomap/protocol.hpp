@@ -39,28 +39,10 @@ struct IsoMapOptions {
   /// be finite and >= 0.
   double header_bytes = 0.0;
 
-  /// Link layer for the report convergecast. The paper assumes perfect
-  /// links (loss 0); setting link_loss > 0 enables the ARQ channel model
-  /// of net/channel.hpp — a dropped batch loses all reports it carried.
-  /// link_loss must lie in [0, 1) and link_retries be >= 0 in every mode.
-  double link_loss = 0.0;
-  int link_retries = 3;
-  std::uint64_t link_seed = 0xC0FFEEULL;
-
-  /// Bursty (Gilbert–Elliott) channel mode: when set it replaces the
-  /// i.i.d. link_loss model for the convergecast (link_retries and
-  /// link_seed still apply).
-  std::optional<GilbertElliottParams> link_burst;
-
-  /// Link impairment pipeline (latency/jitter/dup/reorder/corrupt) with
-  /// sliding-window ARQ, layered on the loss model above. When unset the
-  /// channel is instantaneous and the run is bit-identical to the
-  /// pre-impairment behavior; when set each convergecast batch is framed
-  /// and delivered in virtual time, and IsoMapResult gains measured
-  /// end-to-end report latency. See net/impairment.hpp + net/arq.hpp and
-  /// docs/ROBUSTNESS.md.
-  std::optional<ImpairmentConfig> link_impair;
-  ArqConfig link_arq;
+  /// Link layer for the report convergecast (net/channel.hpp). A
+  /// dropped batch loses every report it carried; with an impairment
+  /// pipeline IsoMapResult gains measured end-to-end report latency.
+  LinkOptions link;
 
   /// Mid-run fault injection (node crashes, region blackouts) and the
   /// self-healing repair switch; inactive by default. See fault/fault.hpp
@@ -81,11 +63,9 @@ struct IsoMapOptions {
   static constexpr double kSampleTupleBytes = 6.0;  ///< <value, x, y> reply.
 };
 
-/// Everything a protocol run produces at / about the sink.
-struct IsoMapResult {
-  std::vector<IsolineReport> sink_reports;  ///< After in-network filtering.
-  ContourMap map;                           ///< Built at the sink.
-
+/// The counters of one protocol run, declared once: IsoMapResult carries
+/// them, and the run capsule's SingleShotOutputs stores them.
+struct IsoMapCounters {
   int isoline_node_count = 0;   ///< Distinct nodes selected (any level).
   int generated_reports = 0;    ///< Reports created at isoline nodes.
   int delivered_reports = 0;    ///< Reports surviving to the sink.
@@ -115,20 +95,26 @@ struct IsoMapResult {
   /// rate for the collection latency.
   double bottleneck_bytes = 0.0;
 
-  /// Collection latency in seconds at `kbps` (default: MICA2's CC1000).
-  double latency_s(double kbps = 38.4) const {
-    return bottleneck_bytes * 8.0 / (kbps * 1000.0);
-  }
-
   /// Measured end-to-end report latency over the impaired link pipeline:
   /// per delivered report, the sum of per-hop ARQ virtual completion
   /// times along its path. first/last are the fastest/slowest delivered
   /// report; `e2e_last_latency_s` is when the sink's map input is
-  /// complete — the map latency. All exactly 0.0 when link_impair is
+  /// complete — the map latency. All exactly 0.0 when link.impair is
   /// unset (delivery is instantaneous by assumption).
   double e2e_first_latency_s = 0.0;
   double e2e_last_latency_s = 0.0;
   double e2e_mean_latency_s = 0.0;
+
+  /// Collection latency in seconds at `kbps` (default: MICA2's CC1000).
+  double latency_s(double kbps = 38.4) const {
+    return bottleneck_bytes * 8.0 / (kbps * 1000.0);
+  }
+};
+
+/// Everything a protocol run produces at / about the sink.
+struct IsoMapResult : IsoMapCounters {
+  std::vector<IsolineReport> sink_reports;  ///< After in-network filtering.
+  ContourMap map;                           ///< Built at the sink.
 
   /// Convergecast transmissions (only when
   /// IsoMapOptions::record_transmissions is set).

@@ -8,70 +8,52 @@
 
 namespace isomap {
 
-Channel::Channel() : rng_(0) {}
+namespace {
 
-Channel::Channel(double loss_probability, int max_retries, Rng rng)
-    : loss_probability_(loss_probability),
-      max_retries_(max_retries),
-      rng_(rng) {
-  if (!(loss_probability >= 0.0 && loss_probability < 1.0))
-    throw std::invalid_argument("Channel: loss_probability must be in [0,1)");
-  if (max_retries < 0)
-    throw std::invalid_argument("Channel: max_retries must be >= 0");
-}
+/// NaN fails every range check below.
+bool in_closed_unit(double v) { return v >= 0.0 && v <= 1.0; }
+bool in_half_open_unit(double v) { return v >= 0.0 && v < 1.0; }
 
-Channel::Channel(const GilbertElliottParams& params, int max_retries, Rng rng)
-    : max_retries_(max_retries), burst_(params), rng_(rng) {
-  if (params.p_enter_burst < 0.0 || params.p_enter_burst > 1.0)
-    throw std::invalid_argument("Channel: p_enter_burst must be in [0,1]");
-  if (params.p_exit_burst <= 0.0 || params.p_exit_burst > 1.0)
-    throw std::invalid_argument("Channel: p_exit_burst must be in (0,1]");
-  if (params.loss_good < 0.0 || params.loss_good >= 1.0)
-    throw std::invalid_argument("Channel: loss_good must be in [0,1)");
-  if (params.loss_bad < 0.0 || params.loss_bad > 1.0)
-    throw std::invalid_argument("Channel: loss_bad must be in [0,1]");
-  if (max_retries < 0)
-    throw std::invalid_argument("Channel: max_retries must be >= 0");
-}
+}  // namespace
 
-Channel Channel::make(double loss, int max_retries, std::uint64_t seed,
-                      const std::optional<GilbertElliottParams>& burst) {
+void LinkOptions::validate() const {
   // Checked in every mode: a perfect or bursty channel ignores `loss`,
   // but a NaN or out-of-range value is still a caller error.
-  if (!(loss >= 0.0 && loss < 1.0))
-    throw std::invalid_argument("Channel: loss must be finite and in [0,1)");
-  if (max_retries < 0)
-    throw std::invalid_argument("Channel: max_retries must be >= 0");
-  if (burst) return Channel(*burst, max_retries, Rng(seed));
-  if (loss > 0.0) return Channel(loss, max_retries, Rng(seed));
-  return Channel();
-}
-
-Channel Channel::make(double loss, int max_retries, std::uint64_t seed,
-                      const std::optional<GilbertElliottParams>& burst,
-                      const std::optional<ImpairmentConfig>& impair,
-                      const ArqConfig& arq) {
-  Channel channel = make(loss, max_retries, seed, burst);
+  if (!in_half_open_unit(loss))
+    throw std::invalid_argument("LinkOptions: loss must be in [0,1)");
+  if (retries < 0)
+    throw std::invalid_argument("LinkOptions: retries must be >= 0");
+  if (burst) {
+    if (!in_closed_unit(burst->p_enter_burst))
+      throw std::invalid_argument(
+          "LinkOptions: p_enter_burst must be in [0,1]");
+    if (!(burst->p_exit_burst > 0.0 && burst->p_exit_burst <= 1.0))
+      throw std::invalid_argument(
+          "LinkOptions: p_exit_burst must be in (0,1]");
+    if (!in_half_open_unit(burst->loss_good))
+      throw std::invalid_argument("LinkOptions: loss_good must be in [0,1)");
+    if (!in_closed_unit(burst->loss_bad))
+      throw std::invalid_argument("LinkOptions: loss_bad must be in [0,1]");
+  }
   if (impair) {
     impair->validate();
     arq.validate();
-    channel.impair_ = impair;
-    channel.arq_ = arq;
-    // An impaired perfect channel still runs the ARQ engine (jitter,
-    // dups, corruption exist without loss), so it needs a live Rng.
-    channel.rng_ = Rng(seed);
   }
-  return channel;
+}
+
+Channel::Channel(const LinkOptions& link) : link_(link), rng_(link.seed) {
+  link_.validate();
 }
 
 double Channel::attempt_loss() {
-  if (!burst_) return loss_probability_;
-  const double loss = in_burst_ ? burst_->loss_bad : burst_->loss_good;
+  if (!link_.burst) return link_.loss;
+  const GilbertElliottParams& burst = *link_.burst;
+  const double loss = in_burst_ ? burst.loss_bad : burst.loss_good;
   // Advance the two-state chain once per attempt.
   if (in_burst_) {
-    if (rng_.bernoulli(burst_->p_exit_burst)) in_burst_ = false;
+    if (rng_.bernoulli(burst.p_exit_burst)) in_burst_ = false;
   } else {
-    if (rng_.bernoulli(burst_->p_enter_burst)) in_burst_ = true;
+    if (rng_.bernoulli(burst.p_enter_burst)) in_burst_ = true;
   }
   return loss;
 }
@@ -82,7 +64,7 @@ bool Channel::send(int from, int to, double bytes, Ledger& ledger) {
     ledger.transmit(from, to, bytes);
     return true;
   }
-  for (int attempt = 0; attempt <= max_retries_; ++attempt) {
+  for (int attempt = 0; attempt <= link_.retries; ++attempt) {
     ++attempts_;
     if (attempt > 0) {
       ++retries_;
@@ -106,9 +88,9 @@ bool Channel::send(int from, int to, double bytes, Ledger& ledger) {
 
 Channel::Transfer Channel::transfer(int from, int to, double bytes,
                                     Ledger& ledger) {
-  if (!impair_) return {send(from, to, bytes, ledger), 0.0};
+  if (!link_.impair) return {send(from, to, bytes, ledger), 0.0};
   const ArqTransferStats stats = run_arq_transfer(
-      from, to, bytes, *impair_, arq_, rng_,
+      from, to, bytes, *link_.impair, link_.arq, rng_,
       [this] { return rng_.bernoulli(attempt_loss()); }, ledger);
   attempts_ += stats.data_tx;
   retries_ += stats.retransmissions;
@@ -126,8 +108,8 @@ Channel::Transfer Channel::transfer(int from, int to, double bytes,
 
 double Channel::delivery_probability() const {
   if (perfect()) return 1.0;
-  if (!burst_)
-    return 1.0 - std::pow(loss_probability_, max_retries_ + 1);
+  if (!link_.burst) return 1.0 - std::pow(link_.loss, link_.retries + 1);
+  const GilbertElliottParams& burst = *link_.burst;
   // Exact Gilbert–Elliott computation: march the chain forward from the
   // channel's current state, carrying the joint probability of ("every
   // attempt so far was lost", chain state). attempt_loss() reads the loss
@@ -135,13 +117,13 @@ double Channel::delivery_probability() const {
   // applies the state's loss, then the transition.
   double fail_good = in_burst_ ? 0.0 : 1.0;  // all-lost & chain in good
   double fail_bad = in_burst_ ? 1.0 : 0.0;   // all-lost & chain in bad
-  for (int attempt = 0; attempt <= max_retries_; ++attempt) {
-    const double lost_from_good = fail_good * burst_->loss_good;
-    const double lost_from_bad = fail_bad * burst_->loss_bad;
-    fail_good = lost_from_good * (1.0 - burst_->p_enter_burst) +
-                lost_from_bad * burst_->p_exit_burst;
-    fail_bad = lost_from_good * burst_->p_enter_burst +
-               lost_from_bad * (1.0 - burst_->p_exit_burst);
+  for (int attempt = 0; attempt <= link_.retries; ++attempt) {
+    const double lost_from_good = fail_good * burst.loss_good;
+    const double lost_from_bad = fail_bad * burst.loss_bad;
+    fail_good = lost_from_good * (1.0 - burst.p_enter_burst) +
+                lost_from_bad * burst.p_exit_burst;
+    fail_bad = lost_from_good * burst.p_enter_burst +
+               lost_from_bad * (1.0 - burst.p_exit_burst);
   }
   return 1.0 - (fail_good + fail_bad);
 }

@@ -36,14 +36,48 @@ struct GilbertElliottParams {
   }
 };
 
+/// One protocol's link layer: the loss model, its ARQ retry budget, the
+/// seed of its draws, and the optional impairment pipeline. Iso-Map,
+/// TinyDB, INLR and eScan each hold one, so every comparison runs over
+/// the identical link model. The defaults are the paper's perfect links
+/// and reproduce the historical behavior bit for bit.
+struct LinkOptions {
+  /// Per-attempt i.i.d. loss, in [0, 1). The paper assumes perfect links
+  /// (loss 0); a lost hop loses the whole batch it carried. Checked in
+  /// every mode, though a bursty channel ignores it.
+  double loss = 0.0;
+  /// ARQ retries after the first attempt, >= 0.
+  int retries = 3;
+  std::uint64_t seed = 0xC0FFEEULL;
+  /// Bursty (Gilbert–Elliott) loss: when set it replaces `loss`
+  /// (`retries` and `seed` still apply). Probabilities in [0, 1],
+  /// p_exit_burst > 0 (bursts must be able to end), loss_good in [0, 1)
+  /// and loss_bad in [0, 1]. The chain starts in the good state.
+  std::optional<GilbertElliottParams> burst;
+  /// Impairment pipeline (latency/jitter/dup/reorder/corrupt) with
+  /// sliding-window ARQ, layered on the loss model above. When unset the
+  /// channel is instantaneous; when set each batch is framed and
+  /// delivered in virtual time, and the protocol measures its latency.
+  /// See net/impairment.hpp, net/arq.hpp and docs/ROBUSTNESS.md.
+  std::optional<ImpairmentConfig> impair;
+  /// The ARQ engine's settings; checked, and used, only with `impair`.
+  ArqConfig arq;
+
+  /// The link rules above, plus ImpairmentConfig's and ArqConfig's when
+  /// `impair` is set. Throws std::invalid_argument naming the first
+  /// broken rule; NaN breaks every range.
+  void validate() const;
+};
+
 /// Link-layer model. The paper assumes a perfect link layer ("data
 /// delivery is guaranteed through performance-based routing dynamics and
 /// MAC layer retransmissions", Section 5); this class makes that
-/// assumption explicit and optionally relaxes it, in two modes:
+/// assumption explicit and optionally relaxes it, in two loss modes:
 ///  - i.i.d.: each hop transmission is lost independently with
-///    `loss_probability`;
-///  - bursty: losses follow a Gilbert–Elliott two-state chain (above).
-/// ARQ retries up to `max_retries` times (B-MAC/Z-MAC style, the MAC
+///    `LinkOptions::loss`;
+///  - bursty: losses follow a Gilbert–Elliott two-state chain (above),
+/// each optionally under the impairment pipeline.
+/// ARQ retries up to `retries` times (B-MAC/Z-MAC style, the MAC
 /// schemes the paper cites). Every attempt — including failed ones — is
 /// charged to the ledger: the sender pays TX for each try, the receiver
 /// pays RX only for the try it successfully decodes. Retransmissions and
@@ -51,38 +85,11 @@ struct GilbertElliottParams {
 /// so link-layer overhead is visible per run and per phase.
 class Channel {
  public:
-  /// Perfect channel: every send succeeds on the first try.
-  Channel();
-
-  /// Lossy i.i.d. channel with ARQ. loss_probability in [0, 1);
-  /// max_retries >= 0 extra attempts after the first.
-  Channel(double loss_probability, int max_retries, Rng rng);
-
-  /// Bursty Gilbert–Elliott channel with ARQ. Requires probabilities in
-  /// [0, 1], p_exit_burst > 0 (bursts must be able to end), loss_good in
-  /// [0, 1) and loss_bad in [0, 1]. The chain starts in the good state.
-  Channel(const GilbertElliottParams& params, int max_retries, Rng rng);
-
-  /// Build whichever channel the flattened option fields describe: bursty
-  /// when `burst` is set, i.i.d. when loss > 0, perfect otherwise. The
-  /// one construction path every protocol option struct funnels through.
-  /// In every mode `loss` must lie in [0, 1) (NaN is rejected) and
-  /// `max_retries` must be >= 0, else std::invalid_argument.
-  static Channel make(double loss, int max_retries, std::uint64_t seed,
-                      const std::optional<GilbertElliottParams>& burst);
-
-  /// As above, additionally layering the impairment pipeline + ARQ on top
-  /// of the loss chain when `impair` is set. `arq` validates on use.
-  static Channel make(double loss, int max_retries, std::uint64_t seed,
-                      const std::optional<GilbertElliottParams>& burst,
-                      const std::optional<ImpairmentConfig>& impair,
-                      const ArqConfig& arq = {});
-
-  /// Deliver `bytes` one hop from `from` to `to`, charging the ledger per
-  /// attempt. Returns false when every attempt was lost (the message is
-  /// dropped). Ignores the impairment pipeline — the instantaneous
-  /// compatibility path; use transfer() to exercise impairments.
-  bool send(int from, int to, double bytes, Ledger& ledger);
+  /// The channel `link` describes: bursty when `burst` is set, i.i.d.
+  /// when loss > 0, perfect otherwise, under the impairment pipeline when
+  /// `impair` is set. Throws std::invalid_argument when `link` breaks a
+  /// LinkOptions rule. The default is the perfect channel.
+  explicit Channel(const LinkOptions& link = {});
 
   /// Outcome of one hop transfer: whether the batch arrived, and how much
   /// virtual link time it took (0 on the unimpaired path, where delivery
@@ -92,25 +99,19 @@ class Channel {
     double latency_s = 0.0;
   };
 
-  /// Deliver `bytes` one hop. Without an ImpairmentConfig this is exactly
-  /// send() — bit-for-bit, same Rng draws, same ledger charges — so
-  /// perfect and plain-lossy channels reproduce the pre-impairment
-  /// behavior. With one, the batch is framed and run through the
-  /// sliding-window ARQ engine over the impaired link (see net/arq.hpp),
-  /// reusing this channel's loss chain for per-frame losses.
+  /// Deliver `bytes` one hop from `from` to `to`, charging the ledger per
+  /// attempt; `delivered` is false when every attempt was lost (the
+  /// message is dropped). Without an ImpairmentConfig delivery is
+  /// instantaneous and a perfect channel draws nothing. With one, the
+  /// batch is framed and run through the sliding-window ARQ engine over
+  /// the impaired link (see net/arq.hpp), reusing this channel's loss
+  /// chain for per-frame losses.
   Transfer transfer(int from, int to, double bytes, Ledger& ledger);
 
-  bool bursty() const { return burst_.has_value(); }
-  bool perfect() const { return !bursty() && loss_probability_ <= 0.0; }
-  double loss_probability() const { return loss_probability_; }
-  int max_retries() const { return max_retries_; }
-
+  bool bursty() const { return link_.burst.has_value(); }
+  bool perfect() const { return !bursty() && link_.loss <= 0.0; }
   /// Impairment pipeline active (transfer() runs the ARQ engine).
-  bool impaired() const { return impair_.has_value(); }
-  const std::optional<ImpairmentConfig>& impairment() const {
-    return impair_;
-  }
-  const ArqConfig& arq() const { return arq_; }
+  bool impaired() const { return link_.impair.has_value(); }
 
   /// Cumulative statistics since construction.
   long long attempts() const { return attempts_; }
@@ -120,9 +121,9 @@ class Channel {
   long long corrupt_rx() const { return corrupt_rx_; }
   long long arq_timeouts() const { return arq_timeouts_; }
   long long acks() const { return acks_; }
-  /// Expected probability that a send() delivers within max_retries + 1
-  /// attempts. Exact in every mode: i.i.d. is the closed form
-  /// 1 - loss^(max_retries+1); bursty runs the Gilbert–Elliott chain
+  /// Expected probability that an unimpaired transfer() delivers within
+  /// retries + 1 attempts. Exact in every mode: i.i.d. is the closed form
+  /// 1 - loss^(retries+1); bursty runs the Gilbert–Elliott chain
   /// forward from the channel's *current* state, tracking the joint
   /// distribution of (all attempts lost so far, chain state) — this
   /// captures the within-batch correlation that makes retries during a
@@ -131,14 +132,12 @@ class Channel {
   double delivery_probability() const;
 
  private:
+  /// transfer()'s unimpaired branch.
+  bool send(int from, int to, double bytes, Ledger& ledger);
   double attempt_loss();
 
-  double loss_probability_ = 0.0;
-  int max_retries_ = 0;
-  std::optional<GilbertElliottParams> burst_;
+  LinkOptions link_;
   bool in_burst_ = false;
-  std::optional<ImpairmentConfig> impair_;
-  ArqConfig arq_;
   Rng rng_;
   long long attempts_ = 0;
   long long retries_ = 0;

@@ -84,7 +84,8 @@ inline bool non_negative(const double& v) { return v >= 0.0; }
 inline bool finite_non_negative(const double& v) {
   return std::isfinite(v) && v >= 0.0;
 }
-/// Channel::make's rules: a link loss in [0, 1), retries >= 0.
+/// LinkOptions's loss rule, checked as the field decodes so the error
+/// names it; from_capsule then runs the whole LinkOptions rule set.
 inline bool link_loss_rule(const double& v) { return v >= 0.0 && v < 1.0; }
 inline bool non_negative_count(const int& v) { return v >= 0; }
 /// IsoMapProtocol's rule: a regression scope of at least one hop.
@@ -141,6 +142,19 @@ inline constexpr auto kFields<GilbertElliottParams> = std::tuple{
     field("loss_good", &GilbertElliottParams::loss_good),
     field("loss_bad", &GilbertElliottParams::loss_bad)};
 
+/// Stored inline in the options section. The `link_` entry names are
+/// what decode errors print.
+template <>
+inline constexpr auto kFields<LinkOptions> = [] {
+  using S = LinkOptions;
+  return std::tuple{
+      field("link_loss", &S::loss, link_loss_rule),
+      field("link_retries", &S::retries, non_negative_count),
+      field("link_seed", &S::seed), field("link_burst", &S::burst),
+      skip(&S::impair, "stored in the link_impair section"),
+      skip(&S::arq, "stored in the link_impair section")};
+}();
+
 template <>
 inline constexpr auto kFields<FaultConfig> = std::tuple{
     field("crash_fraction", &FaultConfig::crash_fraction),
@@ -162,14 +176,9 @@ inline constexpr auto kFields<IsoMapOptions> = [] {
       field("account_local_measurement", &S::account_local_measurement),
       field("account_query_dissemination", &S::account_query_dissemination),
       field("header_bytes", &S::header_bytes, finite_non_negative),
-      field("link_loss", &S::link_loss, link_loss_rule),
-      field("link_retries", &S::link_retries, non_negative_count),
-      field("link_seed", &S::link_seed), field("link_burst", &S::link_burst),
-      field("fault", &S::fault),
+      field("link", &S::link), field("fault", &S::fault),
       field("record_transmissions", &S::record_transmissions),
-      field("adaptive_epsilon", &S::adaptive_epsilon),
-      skip(&S::link_impair, "stored in the link_impair section"),
-      skip(&S::link_arq, "stored in the link_impair section")};
+      field("adaptive_epsilon", &S::adaptive_epsilon)};
 }();
 
 template <>
@@ -247,9 +256,11 @@ inline constexpr auto kFields<obs::LedgerTotals> = std::tuple{
     field("mean_ops", &obs::LedgerTotals::mean_ops),
     field("max_ops", &obs::LedgerTotals::max_ops)};
 
-template <>
-inline constexpr auto kFields<SingleShotOutputs> = [] {
-  using S = SingleShotOutputs;
+/// IsoMapCounters' entries in two parts: SingleShotOutputs stores the
+/// counts before its reports and the latencies after its run schema 2
+/// tail.
+inline constexpr auto kIsoMapCountFields = [] {
+  using S = IsoMapCounters;
   return std::tuple{
       field("isoline_node_count", &S::isoline_node_count),
       field("generated_reports", &S::generated_reports),
@@ -263,13 +274,27 @@ inline constexpr auto kFields<SingleShotOutputs> = [] {
       field("report_traffic_bytes", &S::report_traffic_bytes),
       field("measurement_traffic_bytes", &S::measurement_traffic_bytes),
       field("dissemination_traffic_bytes", &S::dissemination_traffic_bytes),
-      field("bottleneck_bytes", &S::bottleneck_bytes),
-      field("sink_reports", &S::sink_reports), field("contours", &S::contours),
-      field("ledger", &S::ledger), field("summary", &S::summary_json),
-      Tail{},  // run schema 2
-      field("e2e_first_latency_s", &S::e2e_first_latency_s),
-      field("e2e_last_latency_s", &S::e2e_last_latency_s),
-      field("e2e_mean_latency_s", &S::e2e_mean_latency_s)};
+      field("bottleneck_bytes", &S::bottleneck_bytes)};
+}();
+inline constexpr auto kIsoMapLatencyFields = std::tuple{
+    field("e2e_first_latency_s", &IsoMapCounters::e2e_first_latency_s),
+    field("e2e_last_latency_s", &IsoMapCounters::e2e_last_latency_s),
+    field("e2e_mean_latency_s", &IsoMapCounters::e2e_mean_latency_s)};
+
+template <>
+inline constexpr auto kFields<IsoMapCounters> =
+    std::tuple_cat(kIsoMapCountFields, kIsoMapLatencyFields);
+
+template <>
+inline constexpr auto kFields<SingleShotOutputs> = [] {
+  using S = SingleShotOutputs;
+  return std::tuple_cat(
+      kIsoMapCountFields,
+      std::tuple{field("sink_reports", &S::sink_reports),
+                 field("contours", &S::contours), field("ledger", &S::ledger),
+                 field("summary", &S::summary_json),
+                 Tail{}},  // run schema 2
+      kIsoMapLatencyFields);
 }();
 
 template <>
@@ -280,18 +305,22 @@ inline constexpr auto kFields<ContinuousMapper::SinkDumpEntry> = std::tuple{
     field("report", &ContinuousMapper::SinkDumpEntry::report)};
 
 template <>
-inline constexpr auto kFields<RoundOutputs> = std::tuple{
-    field("adds", &RoundOutputs::adds),
-    field("refreshes", &RoundOutputs::refreshes),
-    field("withdrawals", &RoundOutputs::withdrawals),
-    field("suppressed", &RoundOutputs::suppressed),
-    field("keepalives", &RoundOutputs::keepalives),
-    field("expired", &RoundOutputs::expired),
-    field("active_reports", &RoundOutputs::active_reports),
-    field("delta_traffic_bytes", &RoundOutputs::delta_traffic_bytes),
-    field("beacon_traffic_bytes", &RoundOutputs::beacon_traffic_bytes),
-    field("sink", &RoundOutputs::sink),
-    field("ledger", &RoundOutputs::ledger)};
+inline constexpr auto kFields<RoundCounters> = std::tuple{
+    field("adds", &RoundCounters::adds),
+    field("refreshes", &RoundCounters::refreshes),
+    field("withdrawals", &RoundCounters::withdrawals),
+    field("suppressed", &RoundCounters::suppressed),
+    field("keepalives", &RoundCounters::keepalives),
+    field("expired", &RoundCounters::expired),
+    field("active_reports", &RoundCounters::active_reports),
+    field("delta_traffic_bytes", &RoundCounters::delta_traffic_bytes),
+    field("beacon_traffic_bytes", &RoundCounters::beacon_traffic_bytes)};
+
+template <>
+inline constexpr auto kFields<RoundOutputs> = std::tuple_cat(
+    kFields<RoundCounters>,
+    std::tuple{field("sink", &RoundOutputs::sink),
+               field("ledger", &RoundOutputs::ledger)});
 
 template <>
 inline constexpr auto kFields<obs::TelemetryEnergyModel> = std::tuple{

@@ -272,8 +272,8 @@ void walk_sections(IO& io, Run& run) {
   io.section(kMetaTag, "meta", kSchemaVersion, run.kind, run.label);
   io.section(kConfigTag, "config", run.config);
   io.section(kOptionsTag, "options", run.options);
-  io.optional_section(kLinkImpairTag, "link_impair", run.options.link_impair,
-                      run.options.link_arq);
+  io.optional_section(kLinkImpairTag, "link_impair", run.options.link.impair,
+                      run.options.link.arq);
   if (run.kind == RunKind::kContinuous)
     io.section(kContinuousTag, "continuous", run.continuous);
   io.section(kDeploymentTag, "deployment", run.deployment.bounds,
@@ -348,22 +348,7 @@ SingleShotOutputs execute_single_shot(
   }();
   if (telemetry_out != nullptr) *telemetry_out = telemetry.snapshot();
   SingleShotOutputs out;
-  out.isoline_node_count = result.isoline_node_count;
-  out.generated_reports = result.generated_reports;
-  out.delivered_reports = result.delivered_reports;
-  out.filtered_reports = result.filtered_reports;
-  out.lost_channel_reports = result.lost_channel_reports;
-  out.lost_crash_reports = result.lost_crash_reports;
-  out.crashed_nodes = result.crashed_nodes;
-  out.route_repairs = result.route_repairs;
-  out.repair_traffic_bytes = result.repair_traffic_bytes;
-  out.report_traffic_bytes = result.report_traffic_bytes;
-  out.measurement_traffic_bytes = result.measurement_traffic_bytes;
-  out.dissemination_traffic_bytes = result.dissemination_traffic_bytes;
-  out.bottleneck_bytes = result.bottleneck_bytes;
-  out.e2e_first_latency_s = result.e2e_first_latency_s;
-  out.e2e_last_latency_s = result.e2e_last_latency_s;
-  out.e2e_mean_latency_s = result.e2e_mean_latency_s;
+  static_cast<IsoMapCounters&>(out) = result;
   out.sink_reports = result.sink_reports;
   out.contours = extract_contours(result.map);
   out.ledger = ledger_totals(ledger);
@@ -398,15 +383,7 @@ void execute_continuous(
       return mapper.round(c.rounds[r], ledger);
     }();
     RoundOutputs out;
-    out.adds = result.adds;
-    out.refreshes = result.refreshes;
-    out.withdrawals = result.withdrawals;
-    out.suppressed = result.suppressed;
-    out.keepalives = result.keepalives;
-    out.expired = result.expired;
-    out.active_reports = result.active_reports;
-    out.delta_traffic_bytes = result.delta_traffic_bytes;
-    out.beacon_traffic_bytes = result.beacon_traffic_bytes;
+    static_cast<RoundCounters&>(out) = result;
     out.sink = mapper.sink_dump();
     out.ledger = ledger_totals(ledger);
     rounds_out.push_back(std::move(out));
@@ -630,13 +607,13 @@ RunCapsule from_capsule(const Capsule& c) {
   if (run.sink < 0 ||
       static_cast<std::size_t>(run.sink) >= run.deployment.nodes.size())
     throw CapsuleError("sink id out of range");
-  if (run.options.link_impair) {
-    try {
-      run.options.link_impair->validate();
-      run.options.link_arq.validate();
-    } catch (const std::invalid_argument& e) {
-      throw CapsuleError(std::string("link_impair: ") + e.what());
-    }
+  // The channel's whole rule set, so a capsule that decodes builds its
+  // channel: this adds the burst rules and, with a link_impair section,
+  // the impairment and ARQ rules to the per-field ones above.
+  try {
+    run.options.link.validate();
+  } catch (const std::invalid_argument& e) {
+    throw CapsuleError(std::string("link: ") + e.what());
   }
   check_readings(run);
   return run;

@@ -70,27 +70,12 @@ struct LevelContour {
   std::vector<ContourPolyline> boundaries;
 };
 
-/// Outputs of a single-shot run, flattened for bit-comparison.
-struct SingleShotOutputs {
-  int isoline_node_count = 0;
-  int generated_reports = 0;
-  int delivered_reports = 0;
-  int filtered_reports = 0;
-  int lost_channel_reports = 0;
-  int lost_crash_reports = 0;
-  int crashed_nodes = 0;
-  int route_repairs = 0;
-  double repair_traffic_bytes = 0.0;
-  double report_traffic_bytes = 0.0;
-  double measurement_traffic_bytes = 0.0;
-  double dissemination_traffic_bytes = 0.0;
-  double bottleneck_bytes = 0.0;
-  /// Measured end-to-end latency over the impaired link pipeline (all
-  /// exactly 0.0 for unimpaired runs — and for capsules recorded before
-  /// the fields existed, which decode to the same zeros).
-  double e2e_first_latency_s = 0.0;
-  double e2e_last_latency_s = 0.0;
-  double e2e_mean_latency_s = 0.0;
+/// Outputs of a single-shot run, flattened for bit-comparison: the run's
+/// counters (IsoMapResult's own record), then its reports and map. The
+/// e2e_*_latency_s counters read exactly 0.0 for unimpaired runs — and
+/// for capsules recorded before the fields existed, which decode to the
+/// same zeros.
+struct SingleShotOutputs : IsoMapCounters {
   std::vector<IsolineReport> sink_reports;
   std::vector<LevelContour> contours;
   obs::LedgerTotals ledger;
@@ -99,16 +84,7 @@ struct SingleShotOutputs {
 
 /// Outputs of one continuous round: the RoundResult counters, the full
 /// sink-table dump, and the cumulative ledger totals after the round.
-struct RoundOutputs {
-  int adds = 0;
-  int refreshes = 0;
-  int withdrawals = 0;
-  int suppressed = 0;
-  int keepalives = 0;
-  int expired = 0;
-  int active_reports = 0;
-  double delta_traffic_bytes = 0.0;
-  double beacon_traffic_bytes = 0.0;
+struct RoundOutputs : RoundCounters {
   std::vector<ContinuousMapper::SinkDumpEntry> sink;
   obs::LedgerTotals ledger;
 };

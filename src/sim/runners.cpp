@@ -1,6 +1,7 @@
 #include "sim/runners.hpp"
 
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -12,15 +13,17 @@ namespace {
 /// Runs `body` under a fresh metrics registry (plus the caller's trace
 /// sink, if any) and assembles the RunSummary afterwards. The registry
 /// lives on the stack: observability state never leaks between runs.
-template <typename Body>
-auto observed_run(const char* protocol, const Scenario& scenario,
-                  obs::TraceSink* trace, obs::NodeTelemetry* telemetry,
-                  Body&& body) {
+template <typename Body,
+          typename Result = std::invoke_result_t<Body&, Ledger&>>
+ProtocolRun<Result> observed_run(const char* protocol,
+                                 const Scenario& scenario,
+                                 obs::TraceSink* trace,
+                                 obs::NodeTelemetry* telemetry, Body&& body) {
   Ledger ledger(scenario.deployment.size());
   obs::MetricsRegistry metrics;
   const std::size_t events_before = trace ? trace->events() : 0;
   const auto start = std::chrono::steady_clock::now();
-  auto result = [&] {
+  Result result = [&] {
     const obs::ObsScope scope(&metrics, trace, telemetry);
     return body(ledger);
   }();
@@ -31,8 +34,7 @@ auto observed_run(const char* protocol, const Scenario& scenario,
       protocol, metrics, ledger_totals(ledger), wall_s,
       trace ? trace->events() - events_before : 0, telemetry);
   summary.peak_rss_bytes = static_cast<double>(peak_rss_bytes());
-  return std::make_tuple(std::move(result), std::move(ledger),
-                         std::move(summary));
+  return {std::move(result), std::move(ledger), std::move(summary)};
 }
 
 }  // namespace
@@ -50,13 +52,11 @@ obs::LedgerTotals ledger_totals(const Ledger& ledger) {
 
 IsoMapRun run_isomap(const Scenario& scenario, const IsoMapOptions& options,
                      obs::TraceSink* trace, obs::NodeTelemetry* telemetry) {
-  auto [result, ledger, summary] =
-      observed_run("isomap", scenario, trace, telemetry, [&](Ledger& l) {
-        IsoMapProtocol protocol(options);
-        return protocol.run(scenario.readings, scenario.deployment,
-                            scenario.graph, scenario.tree, l);
-      });
-  return {std::move(result), std::move(ledger), std::move(summary)};
+  return observed_run("isomap", scenario, trace, telemetry, [&](Ledger& l) {
+    IsoMapProtocol protocol(options);
+    return protocol.run(scenario.readings, scenario.deployment,
+                        scenario.graph, scenario.tree, l);
+  });
 }
 
 IsoMapOptions isomap_options(const Scenario& scenario, int num_levels) {
@@ -73,48 +73,41 @@ IsoMapRun run_isomap(const Scenario& scenario, int num_levels,
 
 TinyDBRun run_tinydb(const Scenario& scenario, TinyDBOptions options,
                      obs::TraceSink* trace, obs::NodeTelemetry* telemetry) {
-  auto [result, ledger, summary] =
-      observed_run("tinydb", scenario, trace, telemetry, [&](Ledger& l) {
-        TinyDBProtocol protocol(options);
-        return protocol.run(scenario.deployment, scenario.readings,
-                            scenario.tree, l);
-      });
-  return {std::move(result), std::move(ledger), std::move(summary)};
+  return observed_run("tinydb", scenario, trace, telemetry, [&](Ledger& l) {
+    TinyDBProtocol protocol(options);
+    return protocol.run(scenario.deployment, scenario.readings, scenario.tree,
+                        l);
+  });
 }
 
 InlrRun run_inlr(const Scenario& scenario, InlrOptions options,
                  obs::TraceSink* trace, obs::NodeTelemetry* telemetry) {
-  auto [result, ledger, summary] =
-      observed_run("inlr", scenario, trace, telemetry, [&](Ledger& l) {
-        InlrProtocol protocol(options);
-        return protocol.run(scenario.deployment, scenario.readings,
-                            scenario.tree, l);
-      });
-  return {std::move(result), std::move(ledger), std::move(summary)};
+  return observed_run("inlr", scenario, trace, telemetry, [&](Ledger& l) {
+    InlrProtocol protocol(options);
+    return protocol.run(scenario.deployment, scenario.readings, scenario.tree,
+                        l);
+  });
 }
 
 EScanRun run_escan(const Scenario& scenario, EScanOptions options,
                    obs::TraceSink* trace, obs::NodeTelemetry* telemetry) {
-  auto [result, ledger, summary] =
-      observed_run("escan", scenario, trace, telemetry, [&](Ledger& l) {
-        EScanProtocol protocol(options);
-        return protocol.run(scenario.deployment, scenario.readings,
-                            scenario.tree, l);
-      });
-  return {std::move(result), std::move(ledger), std::move(summary)};
+  return observed_run("escan", scenario, trace, telemetry, [&](Ledger& l) {
+    EScanProtocol protocol(options);
+    return protocol.run(scenario.deployment, scenario.readings, scenario.tree,
+                        l);
+  });
 }
 
 SuppressionRun run_suppression(const Scenario& scenario,
                                SuppressionOptions options,
                                obs::TraceSink* trace,
                                obs::NodeTelemetry* telemetry) {
-  auto [result, ledger, summary] =
-      observed_run("suppression", scenario, trace, telemetry, [&](Ledger& l) {
+  return observed_run(
+      "suppression", scenario, trace, telemetry, [&](Ledger& l) {
         SuppressionProtocol protocol(options);
         return protocol.run(scenario.deployment, scenario.readings,
                             scenario.graph, scenario.tree, l);
       });
-  return {std::move(result), std::move(ledger), std::move(summary)};
 }
 
 }  // namespace isomap

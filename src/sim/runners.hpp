@@ -26,35 +26,18 @@ namespace isomap {
 /// and the metric snapshot; summary.to_json() is the machine-readable
 /// form.
 
-struct IsoMapRun {
-  IsoMapResult result;
+template <class Result>
+struct ProtocolRun {
+  Result result;
   Ledger ledger;
   obs::RunSummary summary;
 };
 
-struct TinyDBRun {
-  TinyDBResult result;
-  Ledger ledger;
-  obs::RunSummary summary;
-};
-
-struct InlrRun {
-  InlrResult result;
-  Ledger ledger;
-  obs::RunSummary summary;
-};
-
-struct EScanRun {
-  EScanResult result;
-  Ledger ledger;
-  obs::RunSummary summary;
-};
-
-struct SuppressionRun {
-  SuppressionResult result;
-  Ledger ledger;
-  obs::RunSummary summary;
-};
+using IsoMapRun = ProtocolRun<IsoMapResult>;
+using TinyDBRun = ProtocolRun<TinyDBResult>;
+using InlrRun = ProtocolRun<InlrResult>;
+using EScanRun = ProtocolRun<EScanResult>;
+using SuppressionRun = ProtocolRun<SuppressionResult>;
 
 /// Flatten a run's ledger into the summary's plain-number form.
 obs::LedgerTotals ledger_totals(const Ledger& ledger);

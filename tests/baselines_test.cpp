@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "eval/level_map.hpp"
 #include "eval/metrics.hpp"
@@ -247,6 +250,89 @@ TEST(EScan, EmptySinkClassifiesZero) {
   EScanResult empty;
   EXPECT_TRUE(std::isnan(empty.estimated_value({1, 1})));
   EXPECT_EQ(empty.level_index({1, 1}, {5.0}), 0);
+}
+
+// --- The aggregating convergecast INLR and eScan share ----------------
+
+int items_lost(const InlrResult& r) { return r.regions_lost; }
+int items_lost(const EScanResult& r) { return r.tuples_lost; }
+const std::vector<InlrRegion>& items(const InlrResult& r) {
+  return r.sink_regions;
+}
+const std::vector<EScanTuple>& items(const EScanResult& r) {
+  return r.sink_tuples;
+}
+
+/// Every sink item's fields as bit patterns, for bit-for-bit comparison.
+std::vector<std::uint64_t> item_bits(const InlrResult& r) {
+  std::vector<std::uint64_t> out;
+  for (const InlrRegion& x : r.sink_regions)
+    for (const double v : {x.c0, x.c1, x.c2, x.min_x, x.min_y, x.max_x,
+                           x.max_y, static_cast<double>(x.count)})
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+std::vector<std::uint64_t> item_bits(const EScanResult& r) {
+  std::vector<std::uint64_t> out;
+  for (const EScanTuple& x : r.sink_tuples)
+    for (const double v : {x.vmin, x.vmax, x.min_x, x.min_y, x.max_x,
+                           x.max_y, static_cast<double>(x.count)})
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Runs one protocol over a perfect, a lossy and an impaired link.
+template <class Options, class RunFn>
+void expect_link_accounting(RunFn run) {
+  const Scenario s = grid_scenario(4, 400, 20.0);
+
+  // Perfect link: nothing lost, no time taken, every report aggregated.
+  const auto perfect = run(s, Options{});
+  EXPECT_EQ(perfect.result.batches_lost, 0);
+  EXPECT_EQ(items_lost(perfect.result), 0);
+  EXPECT_EQ(perfect.result.collection_latency_s, 0.0);
+  int aggregated = 0;
+  for (const auto& item : items(perfect.result)) aggregated += item.count;
+  EXPECT_EQ(aggregated, perfect.result.reports_generated);
+
+  // Lossy link without retries: whole batches die, and one seed
+  // reproduces the run bit for bit.
+  Options lossy;
+  lossy.link.loss = 0.3;
+  lossy.link.retries = 0;
+  lossy.link.seed = 17;
+  const auto a = run(s, lossy);
+  const auto b = run(s, lossy);
+  EXPECT_GT(a.result.batches_lost, 0);
+  EXPECT_GT(items_lost(a.result), 0);
+  int delivered = 0;
+  for (const auto& item : items(a.result)) delivered += item.count;
+  EXPECT_LT(delivered, a.result.reports_generated);
+  EXPECT_EQ(a.result.collection_latency_s, 0.0);
+  EXPECT_EQ(a.result.batches_lost, b.result.batches_lost);
+  EXPECT_EQ(items_lost(a.result), items_lost(b.result));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.result.traffic_bytes),
+            std::bit_cast<std::uint64_t>(b.result.traffic_bytes));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.ledger.total_tx_bytes()),
+            std::bit_cast<std::uint64_t>(b.ledger.total_tx_bytes()));
+  EXPECT_EQ(item_bits(a.result), item_bits(b.result));
+
+  // Impaired link: batches travel in virtual time.
+  Options impaired;
+  impaired.link.impair = ImpairmentConfig{};
+  const auto slow = run(s, impaired);
+  EXPECT_GT(slow.result.collection_latency_s, 0.0);
+  EXPECT_EQ(slow.result.batches_lost, 0);
+}
+
+TEST(AggregatingConvergecast, InlrOverPerfectLossyAndImpairedLinks) {
+  expect_link_accounting<InlrOptions>(
+      [](const Scenario& s, const InlrOptions& o) { return run_inlr(s, o); });
+}
+
+TEST(AggregatingConvergecast, EScanOverPerfectLossyAndImpairedLinks) {
+  expect_link_accounting<EScanOptions>(
+      [](const Scenario& s, const EScanOptions& o) { return run_escan(s, o); });
 }
 
 TEST(Baselines, IsoMapBeatsAllOnTraffic) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
@@ -343,16 +344,16 @@ RunCapsule impaired_single_shot() {
   config.seed = 13;
   const Scenario scenario = make_scenario(config);
   IsoMapOptions options = isomap_options(scenario, 3);
-  options.link_burst = GilbertElliottParams{};
+  options.link.burst = GilbertElliottParams{};
   ImpairmentConfig impair;
   impair.jitter_s = 0.006;
   impair.dup_prob = 0.2;
   impair.reorder_prob = 0.1;
   impair.corrupt_prob = 0.08;
-  options.link_impair = impair;
-  options.link_arq.window = 4;
-  options.link_arq.frame_payload_bytes = 24.0;
-  options.link_arq.max_frame_attempts = 5;
+  options.link.impair = impair;
+  options.link.arq.window = 4;
+  options.link.arq.frame_payload_bytes = 24.0;
+  options.link.arq.max_frame_attempts = 5;
   return record_single_shot(scenario, options,
                             "test: impaired single shot");
 }
@@ -366,13 +367,13 @@ TEST(RunCapsuleTest, LinkImpairSectionRoundTripsAndReplays) {
 
   const RunCapsule back =
       from_capsule(Capsule::decode(to_capsule(run).encode()));
-  ASSERT_TRUE(back.options.link_impair.has_value());
-  EXPECT_EQ(back.options.link_impair->jitter_s, 0.006);
-  EXPECT_EQ(back.options.link_impair->dup_prob, 0.2);
-  EXPECT_EQ(back.options.link_impair->corrupt_prob, 0.08);
-  EXPECT_EQ(back.options.link_arq.window, 4);
-  EXPECT_EQ(back.options.link_arq.frame_payload_bytes, 24.0);
-  EXPECT_EQ(back.options.link_arq.max_frame_attempts, 5);
+  ASSERT_TRUE(back.options.link.impair.has_value());
+  EXPECT_EQ(back.options.link.impair->jitter_s, 0.006);
+  EXPECT_EQ(back.options.link.impair->dup_prob, 0.2);
+  EXPECT_EQ(back.options.link.impair->corrupt_prob, 0.08);
+  EXPECT_EQ(back.options.link.arq.window, 4);
+  EXPECT_EQ(back.options.link.arq.frame_payload_bytes, 24.0);
+  EXPECT_EQ(back.options.link.arq.max_frame_attempts, 5);
   // Measured end-to-end latency survives the wire bit for bit.
   EXPECT_GT(run.single.e2e_last_latency_s, 0.0);
   EXPECT_EQ(back.single.e2e_first_latency_s, run.single.e2e_first_latency_s);
@@ -427,9 +428,21 @@ constexpr std::size_t table_members() {
       schema::kFields<T>);
 }
 
+/// Members of T. An output record's table lists the members of its
+/// counter base in place, so they count one by one.
+template <class T>
+constexpr std::size_t stored_members() {
+  std::size_t n = aggregate_arity<T>();
+  if constexpr (std::is_same_v<T, SingleShotOutputs>)
+    n += aggregate_arity<IsoMapCounters>() - 1;
+  if constexpr (std::is_same_v<T, RoundOutputs>)
+    n += aggregate_arity<RoundCounters>() - 1;
+  return n;
+}
+
 template <class T>
 void expect_table_covers_members() {
-  EXPECT_EQ(table_members<T>(), aggregate_arity<T>())
+  EXPECT_EQ(table_members<T>(), stored_members<T>())
       << "a member of " << typeid(T).name()
       << " has no field table entry (add a field, or a skip with a reason)";
 }
@@ -441,12 +454,13 @@ void expect_tables_cover_members() {
 
 TEST(CapsuleSchema, EveryStoredMemberHasATableEntry) {
   expect_tables_cover_members<
-      FieldBounds, ScenarioConfig, ContourQuery, IsoMapOptions,
+      FieldBounds, ScenarioConfig, ContourQuery, IsoMapOptions, LinkOptions,
       GilbertElliottParams, FaultConfig, ImpairmentConfig, ArqConfig,
       ContinuousOptions, DeploymentSnapshot::NodeRec, FaultEvent,
       IsolineReport, ContourPolyline, LevelContour, obs::LedgerTotals,
-      SingleShotOutputs, ContinuousMapper::SinkDumpEntry, RoundOutputs,
-      obs::TelemetryEnergyModel, obs::NodeTelemetrySnapshot>();
+      IsoMapCounters, SingleShotOutputs, ContinuousMapper::SinkDumpEntry,
+      RoundCounters, RoundOutputs, obs::TelemetryEnergyModel,
+      obs::NodeTelemetrySnapshot>();
   // Vec2 is no aggregate (it has constructors): pin its layout instead.
   static_assert(sizeof(Vec2) == 2 * sizeof(double));
   EXPECT_EQ(table_members<Vec2>(), 2u);
@@ -479,7 +493,7 @@ TEST(CapsuleDecode, IntFieldsRejectValuesOutsideIntRange) {
 
 TEST(CapsuleDecode, RejectsUnboundedQueriesAndInvalidLinkConfigs) {
   const RunCapsule golden = load(kGoldenDir + "/impaired_arq.capsule");
-  ASSERT_TRUE(golden.options.link_impair.has_value());
+  ASSERT_TRUE(golden.options.link.impair.has_value());
   for (const double granularity : {0.0, 1e-7}) {
     RunCapsule run = golden;
     run.options.query.granularity = granularity;
@@ -487,7 +501,7 @@ TEST(CapsuleDecode, RejectsUnboundedQueriesAndInvalidLinkConfigs) {
         << "granularity " << granularity;
   }
   RunCapsule run = golden;
-  run.options.link_arq.window = 0;
+  run.options.link.arq.window = 0;
   EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
 }
 
@@ -517,17 +531,29 @@ TEST(CapsuleDecode, RejectsBadHeaderBytesAndLinkOptions) {
     }
     for (const double loss : {nan, inf, -0.5, 1.0}) {
       RunCapsule run = golden;
-      run.options.link_loss = loss;
+      run.options.link.loss = loss;
       EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError)
           << "link_loss " << loss;
     }
     RunCapsule run = golden;
-    run.options.link_retries = -4;
+    run.options.link.retries = -4;
     EXPECT_THROW((void)from_capsule(to_capsule(run)), CapsuleError);
+    // Gilbert–Elliott bursts the channel would reject.
+    const auto bent_burst = [&](auto&& bend) {
+      RunCapsule bent = golden;
+      bend(bent.options.link.burst.emplace());
+      return bent;
+    };
+    for (const RunCapsule& bent :
+         {bent_burst([](auto& p) { p.p_exit_burst = 0.0; }),
+          bent_burst([](auto& p) { p.p_enter_burst = -0.1; }),
+          bent_burst([](auto& p) { p.loss_good = 1.0; }),
+          bent_burst([](auto& p) { p.loss_bad = 1.5; })})
+      EXPECT_THROW((void)from_capsule(to_capsule(bent)), CapsuleError);
     // The boundary values still decode.
     run = golden;
     run.options.header_bytes = 0.0;
-    run.options.link_retries = 0;
+    run.options.link.retries = 0;
     EXPECT_NO_THROW((void)from_capsule(to_capsule(run)));
   }
 }

@@ -172,7 +172,7 @@ TEST_F(ContinuousFixture, SoftStateExpiresDeadNodesEntries) {
   mapper.set_topology(damaged.deployment, graph2, tree2);
 
   int expired_total = 0;
-  RoundResult last{.map = ContourMap({0, 0, 45, 45}, std::vector<LevelRegion>{})};
+  RoundResult last{{}, ContourMap({0, 0, 45, 45}, std::vector<LevelRegion>{})};
   for (int round = 0; round < 6; ++round) {
     last = mapper.round(damaged.field, ledger);
     expired_total += last.expired;

@@ -34,10 +34,11 @@ struct Case {
   const char* name = "";
   ScenarioConfig scenario;
   bool filtering = true;
-  double loss = 0.0;
-  int retries = 1;
-  std::optional<GilbertElliottParams> burst;
-  std::optional<ImpairmentConfig> impair;
+  LinkOptions link = [] {
+    LinkOptions link;
+    link.retries = 1;
+    return link;
+  }();
   double header_bytes = 0.0;
 };
 
@@ -76,8 +77,7 @@ Outcome route(const Scenario& s, const std::vector<IsolineReport>& reports,
   {
     obs::TraceSink sink(jsonl);
     const obs::ObsScope scope(&metrics, &sink, &telemetry);
-    Channel channel = Channel::make(c.loss, c.retries, 0xC0FFEEULL, c.burst,
-                                    c.impair);
+    Channel channel(c.link);
     const InNetworkFilter filter = InNetworkFilter::from_query(query);
     const ConvergecastOptions options{
         .filter = c.filtering ? &filter : nullptr,
@@ -189,18 +189,18 @@ std::vector<Case> cases() {
   };
   add("filtered", centre);
   add("unfiltered", centre)->filtering = false;
-  add("iid_loss", centre)->loss = 0.3;
+  add("iid_loss", centre)->link.loss = 0.3;
   Case* c = add("iid_loss_unfiltered", centre);
   c->filtering = false;
-  c->loss = 0.3;
-  add("gilbert_elliott", centre)->burst = burst;
+  c->link.loss = 0.3;
+  add("gilbert_elliott", centre)->link.burst = burst;
   c = add("impaired", centre);
-  c->loss = 0.2;
-  c->impair = impair;
+  c->link.loss = 0.2;
+  c->link.impair = impair;
   add("header_bytes", centre)->header_bytes = 6.0;
   c = add("corner_sink", corner);
-  c->loss = 0.3;
-  c->retries = 2;
+  c->link.loss = 0.3;
+  c->link.retries = 2;
   c->header_bytes = 4.0;
   add("disconnected", split);
   return out;
@@ -233,13 +233,13 @@ TEST(Convergecast, FrontierMatchesPostOrderWalkBitForBit) {
                              }),
                        want);
       // Each case must exercise what it names.
-      if ((c.loss > 0.0 || c.burst) && !c.impair) {
+      if ((c.link.loss > 0.0 || c.link.burst) && !c.link.impair) {
         EXPECT_GT(want.result.lost_channel, 0);
       }
       if (c.filtering) {
         EXPECT_GT(want.result.filtered, 0);
       }
-      if (c.impair) {
+      if (c.link.impair) {
         double total = 0.0;
         for (double lat : want.result.latency_by_id) total += lat;
         EXPECT_GT(total, 0.0);

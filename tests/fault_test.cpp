@@ -310,8 +310,8 @@ TEST(ChaosRun, AccountingIdentityHoldsWithFilteringAndBursts) {
   options.fault.blackout_center = {35, 35};
   options.fault.blackout_radius = 6.0;
   options.fault.blackout_time = 0.4;
-  options.link_burst = GilbertElliottParams{0.05, 0.2, 0.02, 0.9};
-  options.link_retries = 2;
+  options.link.burst = GilbertElliottParams{0.05, 0.2, 0.02, 0.9};
+  options.link.retries = 2;
   const IsoMapRun run = run_isomap(s, options);
   EXPECT_GT(run.result.lost_crash_reports, 0);
   EXPECT_GT(run.result.lost_channel_reports, 0);
@@ -355,7 +355,7 @@ TEST(ChaosRun, DeterministicForIdenticalConfig) {
   const Scenario s = chaos_scenario(4);
   IsoMapOptions options = isomap_options(s, 4);
   options.fault.crash_fraction = 0.05;
-  options.link_burst = GilbertElliottParams{0.03, 0.25, 0.01, 0.8};
+  options.link.burst = GilbertElliottParams{0.03, 0.25, 0.01, 0.8};
   const IsoMapRun a = run_isomap(s, options);
   const IsoMapRun b = run_isomap(s, options);
   EXPECT_EQ(a.result.delivered_reports, b.result.delivered_reports);
@@ -386,8 +386,8 @@ TEST(ChaosRun, TelemetryConservesReportsPerNodeUnderChaos) {
   options.fault.blackout_center = {35, 35};
   options.fault.blackout_radius = 6.0;
   options.fault.blackout_time = 0.4;
-  options.link_burst = GilbertElliottParams{0.05, 0.2, 0.02, 0.9};
-  options.link_retries = 2;
+  options.link.burst = GilbertElliottParams{0.05, 0.2, 0.02, 0.9};
+  options.link.retries = 2;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     exec::set_thread_count(threads);
@@ -429,8 +429,8 @@ TEST(ChaosRun, TelemetryIdenticalAcrossThreadCounts) {
   const Scenario s = chaos_scenario(7);
   IsoMapOptions options = isomap_options(s, 4);
   options.fault.crash_fraction = 0.10;
-  options.link_loss = 0.15;
-  options.link_retries = 2;
+  options.link.loss = 0.15;
+  options.link.retries = 2;
   exec::set_thread_count(1);
   obs::NodeTelemetry serial(s.graph.size());
   run_isomap(s, options, nullptr, &serial);
@@ -456,8 +456,8 @@ TEST(ChaosRun, TraceReconcilesWithLedgerUnderLossAndRepairs) {
   const Scenario s = chaos_scenario(5);
   IsoMapOptions options = isomap_options(s, 4);
   options.fault.crash_fraction = 0.08;
-  options.link_loss = 0.2;
-  options.link_retries = 2;
+  options.link.loss = 0.2;
+  options.link.retries = 2;
   std::ostringstream out;
   obs::TraceSink sink(out);
   const IsoMapRun run = run_isomap(s, options, &sink);
@@ -495,15 +495,15 @@ TEST(ChaosRun, ConservationHoldsUnderImpairedArqWithCrashes) {
   const Scenario s = chaos_scenario(8);
   IsoMapOptions options = isomap_options(s, 4);
   options.fault.crash_fraction = 0.06;
-  options.link_burst = GilbertElliottParams{0.05, 0.2, 0.05, 0.9};
-  options.link_retries = 2;
+  options.link.burst = GilbertElliottParams{0.05, 0.2, 0.05, 0.9};
+  options.link.retries = 2;
   ImpairmentConfig impair;
   impair.jitter_s = 0.004;
   impair.dup_prob = 0.3;
   impair.reorder_prob = 0.2;
   impair.corrupt_prob = 0.1;
-  options.link_impair = impair;
-  options.link_arq.max_frame_attempts = 3;  // Give-ups become losses.
+  options.link.impair = impair;
+  options.link.arq.max_frame_attempts = 3;  // Give-ups become losses.
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     exec::set_thread_count(threads);
@@ -589,9 +589,9 @@ TEST(ChaosRun, DuplicateDeliveryIsIdempotentOnTheMap) {
   const Scenario s = chaos_scenario(9);
   IsoMapOptions once = isomap_options(s, 4);
   ASSERT_TRUE(once.query.enable_filtering);
-  once.link_impair = ImpairmentConfig{};  // Latency only.
+  once.link.impair = ImpairmentConfig{};  // Latency only.
   IsoMapOptions twice = once;
-  twice.link_impair->dup_prob = 1.0;
+  twice.link.impair->dup_prob = 1.0;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     exec::set_thread_count(threads);

@@ -96,7 +96,12 @@ TEST(FrameFate, DeterministicPerSeed) {
 Channel impaired_channel(const ImpairmentConfig& config,
                          std::uint64_t seed = 42, double loss = 0.0,
                          int retries = 3) {
-  return Channel::make(loss, retries, seed, std::nullopt, config, {});
+  LinkOptions link;
+  link.loss = loss;
+  link.retries = retries;
+  link.seed = seed;
+  link.impair = config;
+  return Channel(link);
 }
 
 TEST(ImpairedChannel, PerfectPipelineDeliversWithBaseLatency) {
@@ -192,22 +197,36 @@ TEST(ImpairedChannel, EnergySplitsSenderTxReceiverRx) {
   EXPECT_GT(ledger.rx_bytes(1), ledger.rx_bytes(0));
 }
 
-TEST(ImpairedChannel, UnimpairedTransferMatchesSendBitForBit) {
-  // The compatibility contract: without an impairment config, transfer()
-  // must be an exact alias of send() — same Rng draws, same charges.
-  Channel a = Channel::make(0.3, 2, 9001, std::nullopt);
-  Channel b = Channel::make(0.3, 2, 9001, std::nullopt);
-  Ledger la(2), lb(2);
+TEST(ImpairedChannel, UnimpairedTransferDrawsOneBernoulliPerAttempt) {
+  // The pre-impairment contract every golden pins: without an impairment
+  // config a transfer is instantaneous, and each attempt is one
+  // bernoulli(loss) draw from Rng(seed), up to retries + 1 attempts.
+  LinkOptions link;
+  link.loss = 0.3;
+  link.retries = 2;
+  link.seed = 9001;
+  Channel channel(link);
+  Rng rng(9001);
+  Ledger ledger(2);
+  double tx = 0.0, rx = 0.0;
+  long long drops = 0, retries = 0;
   for (int i = 0; i < 500; ++i) {
-    const bool sent = a.send(0, 1, 17.0, la);
-    const Channel::Transfer t = b.transfer(0, 1, 17.0, lb);
-    EXPECT_EQ(sent, t.delivered);
-    EXPECT_DOUBLE_EQ(t.latency_s, 0.0);
+    bool delivered = false;
+    for (int attempt = 0; attempt <= 2 && !delivered; ++attempt) {
+      if (attempt > 0) ++retries;
+      tx += 17.0;
+      delivered = !rng.bernoulli(0.3);
+    }
+    if (delivered) rx += 17.0;
+    else ++drops;
+    const Channel::Transfer t = channel.transfer(0, 1, 17.0, ledger);
+    EXPECT_EQ(t.delivered, delivered);
+    EXPECT_EQ(t.latency_s, 0.0);
   }
-  EXPECT_DOUBLE_EQ(la.tx_bytes(0), lb.tx_bytes(0));
-  EXPECT_DOUBLE_EQ(la.rx_bytes(1), lb.rx_bytes(1));
-  EXPECT_EQ(a.drops(), b.drops());
-  EXPECT_EQ(a.retries(), b.retries());
+  EXPECT_DOUBLE_EQ(ledger.tx_bytes(0), tx);
+  EXPECT_DOUBLE_EQ(ledger.rx_bytes(1), rx);
+  EXPECT_EQ(channel.drops(), drops);
+  EXPECT_EQ(channel.retries(), retries);
 }
 
 TEST(ImpairedChannel, CountersReachRegistryAndTelemetry) {

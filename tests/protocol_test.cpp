@@ -40,10 +40,10 @@ TEST(IsoMapProtocol, RejectsBadHeaderBytesAndLinkOptionsUpFront) {
         << "header_bytes " << bytes;
   }
   IsoMapOptions bad_loss = options;
-  bad_loss.link_loss = std::numeric_limits<double>::quiet_NaN();
+  bad_loss.link.loss = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(IsoMapProtocol{bad_loss}, std::invalid_argument);
   IsoMapOptions bad_retries = options;
-  bad_retries.link_retries = -4;
+  bad_retries.link.retries = -4;
   EXPECT_THROW(IsoMapProtocol{bad_retries}, std::invalid_argument);
   options.header_bytes = 4.0;
   EXPECT_NO_THROW(IsoMapProtocol{options});

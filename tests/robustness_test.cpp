@@ -103,8 +103,8 @@ TEST(LossyLinks, IsoMapLosesReportsButStaysUsable) {
   IsoMapOptions clean_options;
   clean_options.query = default_query(s.field, 4);
   IsoMapOptions lossy_options = clean_options;
-  lossy_options.link_loss = 0.3;
-  lossy_options.link_retries = 2;
+  lossy_options.link.loss = 0.3;
+  lossy_options.link.retries = 2;
   const IsoMapRun clean = run_isomap(s, clean_options);
   const IsoMapRun lossy = run_isomap(s, lossy_options);
   EXPECT_LT(lossy.result.delivered_reports, clean.result.delivered_reports);
@@ -120,10 +120,10 @@ TEST(LossyLinks, RetriesRecoverDeliveries) {
   const Scenario s = noisy_scenario(0.0, 0.0, 9);
   IsoMapOptions no_retry;
   no_retry.query = default_query(s.field, 4);
-  no_retry.link_loss = 0.3;
-  no_retry.link_retries = 0;
+  no_retry.link.loss = 0.3;
+  no_retry.link.retries = 0;
   IsoMapOptions with_retry = no_retry;
-  with_retry.link_retries = 4;
+  with_retry.link.retries = 4;
   const IsoMapRun a = run_isomap(s, no_retry);
   const IsoMapRun b = run_isomap(s, with_retry);
   EXPECT_GT(b.result.delivered_reports, a.result.delivered_reports);
@@ -137,8 +137,8 @@ TEST(LossyLinks, TinyDBDeliveryDropsWithLoss) {
   config.seed = 10;
   const Scenario s = make_scenario(config);
   TinyDBOptions lossy;
-  lossy.link_loss = 0.2;
-  lossy.link_retries = 1;
+  lossy.link.loss = 0.2;
+  lossy.link.retries = 1;
   const TinyDBRun clean = run_tinydb(s);
   const TinyDBRun dropped = run_tinydb(s, lossy);
   EXPECT_LT(dropped.result.reports_delivered,

@@ -149,8 +149,8 @@ TEST_P(Torture, ProtocolUnderCombinedImpairments) {
   const Scenario s = make_scenario(config);
   IsoMapOptions options;
   options.query = default_query(s.field, 4);
-  options.link_loss = 0.2;
-  options.link_retries = 2;
+  options.link.loss = 0.2;
+  options.link.retries = 2;
   options.adaptive_epsilon = GetParam() % 2 == 0;
   const IsoMapRun a = run_isomap(s, options);
   const IsoMapRun b = run_isomap(s, options);

@@ -111,8 +111,8 @@ capsule::RunCapsule golden_chaos_crash_burst() {
   options.fault.blackout_radius = 2.5;
   options.fault.blackout_time = 0.4;
   options.fault.seed = 0xC4A05ULL;
-  options.link_burst = GilbertElliottParams{};
-  options.link_seed = 0xB0057ULL;
+  options.link.burst = GilbertElliottParams{};
+  options.link.seed = 0xB0057ULL;
   return capsule::record_single_shot(
       scenario, options,
       "chaos_crash_burst: 15% crashes + blackout + bursty channel");
@@ -168,8 +168,8 @@ capsule::RunCapsule golden_impaired_arq() {
   const Scenario scenario = make_scenario(config);
 
   IsoMapOptions options = isomap_options(scenario, 4);
-  options.link_burst = GilbertElliottParams{};
-  options.link_seed = 0xA12B3ULL;
+  options.link.burst = GilbertElliottParams{};
+  options.link.seed = 0xA12B3ULL;
   ImpairmentConfig impair;
   impair.latency_s = 0.004;
   impair.jitter_s = 0.006;
@@ -177,11 +177,11 @@ capsule::RunCapsule golden_impaired_arq() {
   impair.reorder_prob = 0.1;
   impair.reorder_extra_s = 0.02;
   impair.corrupt_prob = 0.05;
-  options.link_impair = impair;
-  options.link_arq.window = 4;
-  options.link_arq.frame_payload_bytes = 24.0;
-  options.link_arq.timeout_s = 0.04;
-  options.link_arq.max_frame_attempts = 6;
+  options.link.impair = impair;
+  options.link.arq.window = 4;
+  options.link.arq.frame_payload_bytes = 24.0;
+  options.link.arq.timeout_s = 0.04;
+  options.link.arq.max_frame_attempts = 6;
   return capsule::record_single_shot(
       scenario, options,
       "impaired_arq: bursty + jitter/dup/reorder/corrupt under ARQ");
